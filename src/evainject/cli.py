@@ -47,6 +47,7 @@ from .fields import (
     FieldSpec,
     PrimeField,
     Rationals,
+    prime_power,
 )
 from .matrices import Matrix
 from .polynomials import MultiPoly, UniPoly, factor_profile
@@ -240,7 +241,12 @@ def parse_field(text: str) -> FieldSpec:
         if not body.isdigit():
             raise ParseError(f"bad field size {body!r}", text, 0)
         q = int(body)
-        p, k = _prime_power(q, text)
+        if q < 2:
+            raise ParseError(f"field size must be at least 2, got {q}", text, 0)
+        pk = prime_power(q)
+        if pk is None:
+            raise ParseError(f"{q} is not a prime power", text, 0)
+        p, k = pk
         if mod_text is not None:
             if k == 1:
                 raise ParseError("a prime field takes no modulus", text, 0)
@@ -253,24 +259,6 @@ def parse_field(text: str) -> FieldSpec:
             return PrimeField(p)
         return ExtensionField.from_order(q)
     raise ParseError(f"unrecognized field {text!r}", text, 0)
-
-
-def _prime_power(q: int, text: str) -> tuple[int, int]:
-    if q < 2:
-        raise ParseError(f"field size must be at least 2, got {q}", text, 0)
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if q % p != 0:
-        p = q
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ParseError(f"{q} is not a prime power", text, 0)
-    return p, k
 
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
@@ -489,13 +477,9 @@ def _resolve_seed(args) -> int:
     return engine.DEFAULT_SEED
 
 
-def _coefficient_spec(spec: FieldSpec) -> FieldSpec:
-    return QQ if spec.is_symbolic else spec
-
-
 def _dispatch(args) -> dict:
     spec = parse_field(args.field)
-    cspec = _coefficient_spec(spec)
+    cspec = engine.coefficient_spec(spec)
     nvars = getattr(args, "vars", None)
     if nvars is not None and nvars < 1:
         raise _UsageError("--vars must be at least 1")
@@ -512,18 +496,17 @@ def _dispatch(args) -> dict:
         if isinstance(poly, MultiPoly):
             verdict = engine.multivariate_injectivity(poly, spec, bounds)
         else:
-            verdict = engine.scalar_injectivity(poly, spec, bounds, seed)
+            verdict = engine.scalar_injectivity(poly, spec, bounds)
     elif args.verb == "matrix":
         verdict = engine.matrix_injectivity(poly, n, spec, seed)
-        if not cspec.is_symbolic and poly.degree >= 1:
-            profile = factor_profile(poly, seed)
-            extra = {
-                "c": str(profile.c),
-                "m": profile.m_mult,
-                "h": str(profile.h),
-                "d": profile.d,
-                "chosen_q": None if profile.chosen_q is None else str(profile.chosen_q),
-            }
+        profile = factor_profile(poly, seed)
+        extra = {
+            "c": str(profile.c),
+            "m": profile.m_mult,
+            "h": str(profile.h),
+            "d": profile.d,
+            "chosen_q": None if profile.chosen_q is None else str(profile.chosen_q),
+        }
     elif args.verb == "permcheck":
         check = engine.permutation_check(poly, cross_check_cap=bounds.scalar_cap)
         extra = {"hermite": check.hermite, "exhaustive": check.exhaustive}

@@ -89,6 +89,7 @@ __all__ = [
     "SimpleRootsReport",
     "BezoutCertificate",
     "verify_witness",
+    "coefficient_spec",
     "first_scalar_collision",
     "scalar_injectivity",
     "permutation_check",
@@ -250,6 +251,31 @@ def verify_witness(f, lhs, rhs) -> Witness:
     return Witness(lhs, rhs, left)
 
 
+def _first_collision(f, points: Iterable) -> Witness | None:
+    """The first collision of f along points, re-checked by verify_witness.
+
+    This is the one scan behind every reported collision.  Points are
+    evaluated in the order given; the first point whose image was seen
+    before is the witness rhs, and the earliest point with that image is
+    its lhs.  The callers fix the order of points:
+
+    * F_q: FieldSpec.elements(), by index (the int itself for F_p; for
+      F_{p^k} the coefficient tuple read as base-p digits, lowest first);
+    * rational grid: rational_grid(height), by denominator, then numerator;
+    * F^m and Q^m: itertools.product over the coordinate list, the last
+      coordinate changing fastest;
+    * n x n matrices: itertools.product over the entry list, row-major,
+      the last entry changing fastest (_all_matrices).
+    """
+    seen = {}
+    for point in points:
+        value = _evaluate(f, point)
+        if value in seen:
+            return verify_witness(f, seen[value], point)
+        seen[value] = point
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Rational search grids
 # ---------------------------------------------------------------------------
@@ -277,14 +303,7 @@ def search_rational_collisions(f: UniPoly, height: int) -> Witness | None:
     """
     if not isinstance(f.spec, Rationals):
         raise SpecMismatchError("rational collision search needs coefficients in Q")
-    seen: dict[FieldElement, Fraction] = {}
-    for r in rational_grid(height):
-        a = f.spec.element(r)
-        v = f.eval(a)
-        if v in seen:
-            return verify_witness(f, f.spec.element(seen[v]), a)
-        seen[v] = r
-    return None
+    return _first_collision(f, (f.spec.element(r) for r in rational_grid(height)))
 
 
 def search_matrix_collisions(f: UniPoly, n: int, height: int,
@@ -301,14 +320,7 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     if total > cap:
         raise EnumerationCapExceededError(
             f"{total} candidate matrices exceed the cap {cap}; lower the height")
-    seen: dict[Matrix, Matrix] = {}
-    for flat in itertools.product(grid, repeat=n * n):
-        a = Matrix(f.spec, [flat[i * n:(i + 1) * n] for i in range(n)])
-        v = mat_poly_eval(f, a)
-        if v in seen:
-            return verify_witness(f, seen[v], a)
-        seen[v] = a
-    return None
+    return _first_collision(f, _all_matrices(f.spec, n, grid))
 
 
 def search_tuple_collisions(f: MultiPoly, height: int,
@@ -327,13 +339,7 @@ def search_tuple_collisions(f: MultiPoly, height: int,
     if len(grid) ** f.m > cap:
         raise EnumerationCapExceededError(
             f"even height 1 yields {len(grid) ** f.m} points over the cap {cap}")
-    seen: dict[FieldElement, tuple] = {}
-    for point in itertools.product(grid, repeat=f.m):
-        v = f.eval(point)
-        if v in seen:
-            return verify_witness(f, seen[v], point), h
-        seen[v] = point
-    return None, h
+    return _first_collision(f, itertools.product(grid, repeat=f.m)), h
 
 
 def monotonicity_violation(f: UniPoly, height: int) -> tuple[Fraction, ...] | None:
@@ -363,25 +369,24 @@ def monotonicity_violation(f: UniPoly, height: int) -> tuple[Fraction, ...] | No
 # Scalar decisions
 # ---------------------------------------------------------------------------
 
-def _coefficient_spec(spec: FieldSpec) -> FieldSpec:
+def coefficient_spec(spec: FieldSpec) -> FieldSpec:
+    """The field that polynomials analyzed over spec take coefficients from:
+    spec itself, or Q for the verdict-only ACF and RCF tags."""
     return QQ if spec.is_symbolic else spec
 
 
 def _check_pairing(f, spec: FieldSpec):
-    if f.spec != _coefficient_spec(spec):
+    if f.spec != coefficient_spec(spec):
         raise SpecMismatchError(
             f"a polynomial over {f.spec} cannot be analyzed over {spec}; "
             "symbolic tags take rational coefficients")
 
 
 def first_scalar_collision(f: UniPoly) -> Witness:
-    seen: dict[FieldElement, FieldElement] = {}
-    for a in f.spec.elements():
-        v = f.eval(a)
-        if v in seen:
-            return verify_witness(f, seen[v], a)
-        seen[v] = a
-    raise InternalInvariantError("no collision found in a full scan")
+    w = _first_collision(f, f.spec.elements())
+    if w is None:
+        raise InternalInvariantError("no collision found in a full scan")
+    return w
 
 
 def _reduce_mod_field_poly(f: UniPoly) -> UniPoly:
@@ -491,8 +496,7 @@ def _pure_power_center(f: UniPoly) -> FieldElement | None:
 
 
 def scalar_injectivity(f: UniPoly, spec: FieldSpec | None = None,
-                       bounds: Bounds = DEFAULT_BOUNDS,
-                       seed: int = DEFAULT_SEED) -> Verdict:
+                       bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     """Decide injectivity of the evaluation map on the base field itself."""
     spec = spec or f.spec
     _check_pairing(f, spec)
@@ -706,18 +710,13 @@ def multivariate_injectivity(f: MultiPoly, spec: FieldSpec | None = None,
         if total > bounds.matrix_cap:
             raise EnumerationCapExceededError(
                 f"q^m = {total} points exceed the enumeration cap {bounds.matrix_cap}")
-        elements = list(spec.elements())
-        seen: dict[FieldElement, tuple] = {}
-        for point in itertools.product(elements, repeat=f.m):
-            v = f.eval(point)
-            if v in seen:
-                w = verify_witness(f, seen[v], point)
-                return Verdict(Status.NOT_INJECTIVE, Reason.PIGEONHOLE,
-                               f"|F^{f.m}| = {total} exceeds |F| = {q}, so the "
-                               "map cannot be injective; first collision in "
-                               "enumeration order", w)
-            seen[v] = point
-        raise InternalInvariantError("no collision in a full scan of F^m")
+        w = _first_collision(f, itertools.product(list(spec.elements()), repeat=f.m))
+        if w is None:
+            raise InternalInvariantError("no collision in a full scan of F^m")
+        return Verdict(Status.NOT_INJECTIVE, Reason.PIGEONHOLE,
+                       f"|F^{f.m}| = {total} exceeds |F| = {q}, so the "
+                       "map cannot be injective; first collision in "
+                       "enumeration order", w)
 
     w, used_height = search_tuple_collisions(f, bounds.height, bounds.matrix_cap)
     if isinstance(spec, RealClosedTag):
@@ -763,21 +762,17 @@ def brute_force_scalar(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     if spec.order > bounds.scalar_cap:
         raise EnumerationCapExceededError(
             f"q = {spec.order} exceeds the scalar cap {bounds.scalar_cap}")
-    seen: dict[FieldElement, FieldElement] = {}
-    for a in spec.elements():
-        v = f.eval(a)
-        if v in seen:
-            w = verify_witness(f, seen[v], a)
-            return Verdict(Status.NOT_INJECTIVE, Reason.EXHAUSTIVE,
-                           "collision found by complete enumeration", w)
-        seen[v] = a
+    w = _first_collision(f, spec.elements())
+    if w is not None:
+        return Verdict(Status.NOT_INJECTIVE, Reason.EXHAUSTIVE,
+                       "collision found by complete enumeration", w)
     return Verdict(Status.INJECTIVE, Reason.EXHAUSTIVE,
                    f"all {spec.order} values are distinct")
 
 
-def _all_matrices(spec: FieldSpec, n: int) -> Iterable[Matrix]:
-    elements = list(spec.elements())
-    for flat in itertools.product(elements, repeat=n * n):
+def _all_matrices(spec: FieldSpec, n: int, entries: list) -> Iterable[Matrix]:
+    """Every n x n matrix with entries from the list, row-major, last entry fastest."""
+    for flat in itertools.product(entries, repeat=n * n):
         yield Matrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
@@ -793,14 +788,10 @@ def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
     if total > bounds.matrix_cap:
         raise EnumerationCapExceededError(
             f"q^(n^2) = {total} matrices exceed the cap {bounds.matrix_cap}")
-    seen: dict[Matrix, Matrix] = {}
-    for a in _all_matrices(spec, n):
-        v = mat_poly_eval(f, a)
-        if v in seen:
-            w = verify_witness(f, seen[v], a)
-            return Verdict(Status.NOT_INJECTIVE, Reason.EXHAUSTIVE,
-                           "collision found by complete enumeration", w)
-        seen[v] = a
+    w = _first_collision(f, _all_matrices(spec, n, list(spec.elements())))
+    if w is not None:
+        return Verdict(Status.NOT_INJECTIVE, Reason.EXHAUSTIVE,
+                       "collision found by complete enumeration", w)
     return Verdict(Status.INJECTIVE, Reason.EXHAUSTIVE,
                    f"all {total} values are distinct")
 
@@ -823,7 +814,7 @@ def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
             f"q^(n^2) = {total} matrices exceed the cap {bounds.matrix_cap}")
     target = Matrix.identity(spec, n).scale(f.constant_term)
     out = []
-    for a in _all_matrices(spec, n):
+    for a in _all_matrices(spec, n, list(spec.elements())):
         if not a.is_zero() and mat_poly_eval(f, a) == target:
             out.append(a)
     return out

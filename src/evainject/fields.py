@@ -55,11 +55,38 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """Largest r >= 0 with r**k <= n, by integer Newton steps from above."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k and p prime, or None when q is no prime power.
+
+    Exponents are tried from the largest down, so the first exact k-th root
+    is the smallest base q has; q is a prime power iff that base is prime.
+    That is O(log q) root extractions and one is_prime call, which raises
+    InvalidFieldError for a base at or above its 2^31 cap.
+    """
+    for k in range(max(q.bit_length() - 1, 1), 0, -1):
+        p = _iroot(q, k)
+        if p ** k == q:
+            return (p, k) if is_prime(p) else None
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Dense F_p[x] arithmetic on plain int lists (ascending degree, trimmed).
-# Used for extension-field element arithmetic and for certifying that a
-# defining modulus is irreducible; the polynomials module has its own richer
-# machinery on top of FieldElement.
+# The package's one int-list F_p[x] kernel: extension-field element
+# arithmetic, the irreducibility certificate for a defining modulus, and the
+# modular gcds of the rational factoriser in polynomials/factor.py use it.
 # ---------------------------------------------------------------------------
 
 def _gf_trim(a: list[int]) -> list[int]:

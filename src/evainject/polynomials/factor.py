@@ -35,7 +35,16 @@ from ..errors import (
     SpecMismatchError,
     SymbolicFieldError,
 )
-from ..fields import FieldElement, FieldSpec, PrimeField, Rationals
+from ..fields import (
+    FieldElement,
+    FieldSpec,
+    PrimeField,
+    Rationals,
+    _gf_gcd,
+    _gf_trim,
+    _gf_xgcd,
+    is_prime,
+)
 from .core import UniPoly, gcd_poly, zero_multiplicity
 
 DEFAULT_SEED = 1729
@@ -210,12 +219,6 @@ def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
 # Rationals: integer-polynomial helpers (ascending int lists)
 # ---------------------------------------------------------------------------
 
-def _zx_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _zx_deg(a: Sequence[int]) -> int:
     return len(a) - 1
 
@@ -228,24 +231,24 @@ def _zx_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _zx_trim(out)
+    return _gf_trim(out)
 
 
 def _zx_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
-    return _zx_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+    return _gf_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
                      for i in range(n)])
 
 
 def _zx_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
-    return _zx_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+    return _gf_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                      for i in range(n)])
 
 
 def _zx_primitive(a: Sequence[int]) -> list[int]:
     """Primitive part with positive leading coefficient."""
-    a = _zx_trim(list(a))
+    a = _gf_trim(list(a))
     if not a:
         return []
     g = 0
@@ -265,7 +268,7 @@ def _trunc_sym(a: Sequence[int], m: int) -> list[int]:
         if c > half:
             c -= m
         out.append(c)
-    return _zx_trim(out)
+    return _gf_trim(out)
 
 
 def _zp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
@@ -275,7 +278,7 @@ def _zp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
 def _zx_divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
     """Exact integer division by a monic polynomial."""
     r = list(a)
-    _zx_trim(r)
+    _gf_trim(r)
     db = _zx_deg(b)
     q = [0] * max(len(r) - db, 0)
     while _zx_deg(r) >= db and r:
@@ -284,8 +287,8 @@ def _zx_divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], lis
         q[shift] = c
         for i in range(db + 1):
             r[shift + i] -= c * b[i]
-        _zx_trim(r)
-    return _zx_trim(q), r
+        _gf_trim(r)
+    return _gf_trim(q), r
 
 
 def _zx_try_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
@@ -355,55 +358,15 @@ def _hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list
     h = _trunc_sym(modular[k], p)
     for fk in modular[k + 1:]:
         h = _zp_mul(h, fk, p)
-    gg, ss, tt = _gf_xgcd_int(g, h, p)
-    if _zx_deg(gg) != 0:
+    one, s, t = _gf_xgcd([c % p for c in g], [c % p for c in h], p)
+    if one != [1]:
         raise InternalInvariantError("modular factors are not coprime")
-    inv = pow(gg[0], -1, p)
-    s = _trunc_sym([c * inv for c in ss], p)
-    t = _trunc_sym([c * inv for c in tt], p)
+    s, t = _trunc_sym(s, p), _trunc_sym(t, p)
     m = p
     for _ in range(steps):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
     return _hensel_lift(p, g, modular[:k], l) + _hensel_lift(p, h, modular[k:], l)
-
-
-def _gf_xgcd_int(a: Sequence[int], b: Sequence[int], p: int):
-    """Extended gcd of int-list polynomials mod p (not normalized monic)."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    _zx_trim(r0), _zx_trim(r1)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _gfp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gfp_sub(s0, _gfp_mul(q, s1, p), p)
-        t0, t1 = t1, _gfp_sub(t0, _gfp_mul(q, t1, p), p)
-    return r0, s0, t0
-
-
-def _gfp_mul(a, b, p):
-    return _zx_trim([c % p for c in _zx_mul(a, b)])
-
-
-def _gfp_sub(a, b, p):
-    return _zx_trim([c % p for c in _zx_sub(a, b)])
-
-
-def _gfp_divmod(a, b, p):
-    r = [c % p for c in a]
-    _zx_trim(r)
-    db = _zx_deg(b)
-    inv = pow(b[-1] % p, p - 2, p)
-    q = [0] * max(len(r) - db, 0)
-    while _zx_deg(r) >= db and r:
-        shift = _zx_deg(r) - db
-        c = (r[-1] * inv) % p
-        q[shift] = c
-        for i in range(db + 1):
-            r[shift + i] = (r[shift + i] - c * b[i]) % p
-        _zx_trim(r)
-    return _zx_trim(q), r
 
 
 # ---------------------------------------------------------------------------
@@ -414,33 +377,13 @@ def _good_prime(s: list[int]) -> int:
     lc = s[-1]
     p = 3
     while p < 100_000:
-        if is_prime_int(p) and lc % p != 0:
-            smod = _zx_trim([c % p for c in s])
-            dmod = _zx_trim([(i * s[i]) % p for i in range(1, len(s))])
-            if dmod and _zx_deg(_gf_gcd_int(smod, dmod, p)) == 0:
+        if is_prime(p) and lc % p != 0:
+            smod = _gf_trim([c % p for c in s])
+            dmod = _gf_trim([(i * s[i]) % p for i in range(1, len(s))])
+            if dmod and len(_gf_gcd(smod, dmod, p)) == 1:
                 return p
         p += 2
     raise InternalInvariantError("no usable prime below 100000")
-
-
-def is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _gf_gcd_int(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gfp_divmod(a, b, p)[1]
-    return a
 
 
 def _zassenhaus(s: list[int], seed: int) -> list[list[int]]:

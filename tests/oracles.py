@@ -9,6 +9,8 @@ injectivity comes from complete image scans.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 from evainject import Matrix, UniPoly
 
@@ -79,3 +81,52 @@ def image_is_injective(f) -> bool:
             return False
         seen.add(v)
     return True
+
+
+def power_sum_eval(f, point):
+    """f at a scalar, a tuple or a matrix as sum c_i * point^i, no Horner."""
+    if isinstance(point, tuple):
+        return f.eval(point)
+    if isinstance(point, Matrix):
+        acc = Matrix.zeros(point.spec, point.n)
+        power = Matrix.identity(point.spec, point.n)
+        for c in f.coeffs:
+            acc = acc + power.scale(c)
+            power = power * point
+        return acc
+    acc = f.spec.zero()
+    for i, c in enumerate(f.coeffs):
+        acc = acc + c * point ** i
+    return acc
+
+
+def first_collision(f, points):
+    """(a, b) for the first point b whose image some earlier point a shares,
+    a the earliest such; None if all images differ.  Compares every pair."""
+    earlier = []
+    for b in points:
+        fb = power_sum_eval(f, b)
+        for a, fa in earlier:
+            if fa == fb:
+                return a, b
+        earlier.append((b, fb))
+    return None
+
+
+def field_elements(spec):
+    """F_q by index: element_from_index(0), ..., element_from_index(q - 1)."""
+    return [spec.element_from_index(i) for i in range(spec.order)]
+
+
+def rational_points(spec, height):
+    """Reduced a/b with 1 <= b <= height, |a/b| <= height, by (b, a)."""
+    return [spec.element(Fraction(a, b))
+            for b in range(1, height + 1)
+            for a in range(-height * b, height * b + 1)
+            if math.gcd(a, b) == 1]
+
+
+def grid_matrices(spec, n, entries):
+    """n x n matrices over the entry list, row-major, last entry fastest."""
+    return [Matrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
+            for flat in itertools.product(entries, repeat=n * n)]

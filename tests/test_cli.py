@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 from fractions import Fraction
 
 import jsonschema
@@ -71,6 +72,19 @@ def test_parse_field_grammar():
     for bad in ("F6", "F9:modulus=x^2+2", "F0", "G5", "F9:modulus=x^3+1"):
         with pytest.raises(Exception):
             parse_field(bad)
+
+
+def test_cli_rejects_huge_field_order_promptly(capsys):
+    # 2^61 - 1 is prime but far above the 2^31 characteristic cap; the
+    # order must be rejected without trial division up to its square root.
+    result = {}
+    argv = ["analyze", "--poly", "x", "--field", "F2305843009213693951"]
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "parse_field did not answer within 2 s"
+    assert result["code"] == 64
+    assert "exceeds the 2^31 cap" in capsys.readouterr().err
 
 
 def test_parse_field_roundtrip():

@@ -1,0 +1,123 @@
+"""Replay the golden report corpus through the CLI.
+
+tests/golden/reports.json holds, for each invocation in CASES, the exit
+code, stderr and JSON report (timing_ms removed) that the CLI produced
+when the corpus was recorded.  A refactor must reproduce every record
+exactly; a change in behaviour re-records the corpus on purpose with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+import contextlib
+import io
+import json
+import os
+import pathlib
+
+from evainject.cli import main
+
+CORPUS = pathlib.Path(__file__).parent / "golden" / "reports.json"
+
+_VERIFY_LHS = '[["0","1/2"],["1","-1"]]'
+_VERIFY_RHS = '[["0","-3/2"],["1","1"]]'
+
+CASES = [
+    # analyze: scalar over finite fields (first collision in element order)
+    ["analyze", "--poly", "x^3", "--field", "F7"],
+    ["analyze", "--poly", "x^3", "--field", "F5"],
+    ["analyze", "--poly", "x^2", "--field", "F9:modulus=x^2+1"],
+    ["analyze", "--poly", "x^3+x^2", "--field", "F4"],
+    ["analyze", "--poly", "x", "--field", "F8:modulus=x^3+x^2+1"],
+    # analyze: F^m pigeonhole scans and Q^m / RCF^m / ACF^m tuple searches
+    ["analyze", "--poly", "x1+x2", "--field", "F3", "--vars", "2"],
+    ["analyze", "--poly", "x1^2+x2^3", "--field", "F5", "--vars", "2"],
+    ["analyze", "--poly", "x1*x2", "--field", "Q", "--vars", "2", "--height", "3"],
+    ["analyze", "--poly", "x1^2+x2^2", "--field", "RCF", "--vars", "2", "--height", "2"],
+    ["analyze", "--poly", "x1^3+x2", "--field", "ACF", "--vars", "2", "--height", "2"],
+    # analyze: scalar over Q, RCF, ACF
+    ["analyze", "--poly", "x^4+2*x", "--field", "Q", "--height", "6"],
+    ["analyze", "--poly", "x^2-x", "--field", "Q"],
+    ["analyze", "--poly", "2*x+1", "--field", "Q"],
+    ["analyze", "--poly", "3", "--field", "F5"],
+    ["analyze", "--poly", "x^3+x", "--field", "R"],
+    ["analyze", "--poly", "x^3-2*x", "--field", "R", "--height", "5"],
+    ["analyze", "--poly", "x^5-x^3+1/3*x", "--field", "RCF", "--height", "4"],
+    ["analyze", "--poly", "x^2+1", "--field", "ACF"],
+    ["analyze", "--poly", "x^2-3*x+2", "--field", "ACF"],
+    ["analyze", "--poly", "x^3+x+1", "--field", "ACF", "--height", "3"],
+    # matrix: rational factoring, including Hensel lifts of 4 modular factors
+    ["matrix", "--poly", "x^4+2*x", "--field", "Q", "--n", "2"],
+    ["matrix", "--poly", "x^9+x^5+x", "--field", "Q", "--n", "2"],
+    ["matrix", "--poly", "x^9-40*x^7+352*x^5-960*x^3+576*x", "--field", "Q", "--n", "3"],
+    ["matrix", "--poly", "x^7-x", "--field", "Q", "--n", "2"],
+    ["matrix", "--poly", "x^3", "--field", "Q", "--n", "2"],
+    ["matrix", "--poly", "x^3+x", "--field", "F3", "--n", "2"],
+    ["matrix", "--poly", "x^2+1", "--field", "ACF", "--n", "2"],
+    ["matrix", "--poly", "x^3+x+1", "--field", "RCF", "--n", "2"],
+    # permcheck
+    ["permcheck", "--poly", "x^2", "--field", "F5"],
+    ["permcheck", "--poly", "x^3", "--field", "F5"],
+    ["permcheck", "--poly", "x^5", "--field", "F16"],
+    # simpleroots
+    ["simpleroots", "--poly", "x^2", "--field", "Q"],
+    ["simpleroots", "--poly", "x^3", "--field", "F3"],
+    ["simpleroots", "--poly", "x^3+x", "--field", "F5"],
+    # bruteforce: scalar and matrix scans
+    ["bruteforce", "--poly", "x^2", "--field", "F5"],
+    ["bruteforce", "--poly", "x^3", "--field", "F5"],
+    ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "2"],
+    ["bruteforce", "--poly", "x^2+x", "--field", "F2", "--n", "2"],
+    ["bruteforce", "--poly", "x", "--field", "F2", "--n", "2"],
+    # search: rational grid and matrix grid scans
+    ["search", "--poly", "x^2", "--field", "Q", "--height", "3"],
+    ["search", "--poly", "x^4+2*x", "--field", "Q", "--height", "5"],
+    ["search", "--poly", "x^4+2*x", "--field", "Q", "--n", "2", "--height", "2"],
+    ["search", "--poly", "x^3", "--field", "Q", "--n", "2", "--height", "1"],
+    # verify
+    ["verify", "--poly", "x^4+2*x", "--field", "Q",
+     "--lhs", _VERIFY_LHS, "--rhs", _VERIFY_RHS],
+    ["verify", "--poly", "x1^2+x2^2", "--field", "Q", "--vars", "2",
+     "--lhs", '["1","0"]', "--rhs", '["0","1"]'],
+    ["verify", "--poly", "x", "--field", "Q", "--lhs", "0", "--rhs", "1"],
+    # errors: exit 64 with the message on stderr
+    ["analyze", "--poly", "x", "--field", "F6"],
+    ["analyze", "--poly", "x", "--field", "F0"],
+    ["analyze", "--poly", "x", "--field", "F1"],
+    ["analyze", "--poly", "x", "--field", "F125"],
+    ["analyze", "--poly", "x", "--field", "F4294967296"],
+    ["analyze", "--poly", "x", "--field", "F4294967311"],
+    ["analyze", "--poly", "x", "--field", "F9:modulus=x^2+2"],
+    ["analyze", "--poly", "x^", "--field", "Q"],
+    ["bruteforce", "--poly", "x^2", "--field", "Q"],
+    ["search", "--poly", "x^2", "--field", "Q", "--n", "2", "--height", "5"],
+]
+
+
+def run_case(argv):
+    """One in-process CLI run: the record the corpus stores for argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--output", "json"])
+    report = json.loads(out.getvalue()) if out.getvalue().strip() else None
+    if report is not None:
+        del report["timing_ms"]
+    return {"argv": argv, "exit": code, "stderr": err.getvalue(), "report": report}
+
+
+def _canonical(record) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
+def test_golden_corpus_replays_exactly(monkeypatch):
+    monkeypatch.delenv("EVA_INJECT_SEED", raising=False)
+    records = json.loads(CORPUS.read_text())
+    assert [r["argv"] for r in records] == CASES, "re-record the corpus"
+    changed = [r["argv"] for r in records if _canonical(run_case(r["argv"])) != _canonical(r)]
+    assert not changed, f"reports differ from the corpus for {changed}"
+
+
+if __name__ == "__main__":
+    os.environ.pop("EVA_INJECT_SEED", None)
+    CORPUS.write_text(json.dumps([run_case(argv) for argv in CASES], indent=1,
+                                 sort_keys=True) + "\n")
