@@ -30,7 +30,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import engine
-from .engine import Bounds, Reason, Status, Verdict, Witness
+from .engine import Bounds, PermutationCheck, SimpleRootsReport, Status, Witness
 from .errors import (
     AlgebraError,
     DivisionByZeroError,
@@ -50,7 +50,7 @@ from .fields import (
     prime_power,
 )
 from .matrices import Matrix
-from .polynomials import MultiPoly, UniPoly, factor_profile
+from .polynomials import FactorProfile, MultiPoly, UniPoly
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,23 @@ from .polynomials import MultiPoly, UniPoly, factor_profile
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()/")
+
+
+def _parse_int(digits: str, text: str, at: int) -> int:
+    """int(digits); past Python's int-string digit limit, a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer with {len(digits)} digits is too long",
+                         text, at) from None
+
+
+def _parse_json(text: str, what: str):
+    """json.loads(text); a malformed or over-long literal is a ParseError."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or Python's int-string limit
+        raise ParseError(f"bad {what} literal: {e}", text, 0) from None
 
 
 def _tokenize(text: str):
@@ -112,10 +129,10 @@ class _PolyParser:
         if kind != "OP" or val != op:
             raise ParseError(f"expected {op!r}", self.text, at)
 
-    def _constant(self, value):
+    def _constant(self, element: FieldElement):
         if self.nvars is None:
-            return UniPoly.constant(self.spec, self.spec.element(value))
-        return MultiPoly.constant(self.spec, self.nvars, self.spec.element(value))
+            return UniPoly.constant(self.spec, element)
+        return MultiPoly.constant(self.spec, self.nvars, element)
 
     def _variable(self, name: str, at: int):
         if self.nvars is None:
@@ -126,7 +143,7 @@ class _PolyParser:
         if name == "x" and self.nvars >= 1:
             return MultiPoly.variable(self.spec, self.nvars, 0)
         if name.startswith("x") and name[1:].isdigit():
-            idx = int(name[1:])
+            idx = _parse_int(name[1:], self.text, at)
             if 1 <= idx <= self.nvars:
                 return MultiPoly.variable(self.spec, self.nvars, idx - 1)
         raise ParseError(f"unknown variable {name!r}; expected x1..x{self.nvars}",
@@ -177,21 +194,21 @@ class _PolyParser:
             kind, val, at = self._next()
             if kind != "INT":
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
-            return base ** int(val)
+            return base ** _parse_int(val, self.text, at)
         return base
 
     def _atom(self):
         kind, val, at = self._next()
         if kind == "INT":
-            num = int(val)
+            num = _parse_int(val, self.text, at)
             kind2, val2, _ = self._peek()
             if kind2 == "OP" and val2 == "/":
                 self._next()
                 kind3, val3, at3 = self._next()
                 if kind3 != "INT":
                     raise ParseError("denominator must be an integer", self.text, at3)
-                return self._rational(num, int(val3), at)
-            return self._constant(num)
+                return self._rational(num, _parse_int(val3, self.text, at3), at)
+            return self._constant(self.spec.element(num))
         if kind == "NAME":
             return self._variable(val, at)
         if kind == "OP" and val == "(":
@@ -204,16 +221,13 @@ class _PolyParser:
         if isinstance(self.spec, Rationals):
             if den == 0:
                 raise ParseError("zero denominator", self.text, at)
-            return self._constant(Fraction(num, den))
+            return self._constant(self.spec.element(Fraction(num, den)))
         try:
             inv = self.spec.from_int(den).inv()
         except DivisionByZeroError:
             raise ParseError(f"denominator {den} is not invertible in {self.spec}",
                              self.text, at) from None
-        element = self.spec.from_int(num) * inv
-        if self.nvars is None:
-            return UniPoly.constant(self.spec, element)
-        return MultiPoly.constant(self.spec, self.nvars, element)
+        return self._constant(self.spec.from_int(num) * inv)
 
 
 def parse_poly(text: str, spec: FieldSpec, nvars: int | None = None):
@@ -240,7 +254,7 @@ def parse_field(text: str) -> FieldSpec:
             mod_text = opt[len("modulus="):]
         if not body.isdigit():
             raise ParseError(f"bad field size {body!r}", text, 0)
-        q = int(body)
+        q = _parse_int(body, text, 0)
         if q < 2:
             raise ParseError(f"field size must be at least 2, got {q}", text, 0)
         pk = prime_power(q)
@@ -274,10 +288,7 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
 
 def parse_matrix(text: str, spec: FieldSpec) -> Matrix:
     """Row-major JSON array of coefficient strings."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad matrix literal: {e}", text, 0) from None
+    data = _parse_json(text, "matrix")
     if (not isinstance(data, list) or not data
             or not all(isinstance(row, list) for row in data)):
         raise ParseError("matrix literal must be a list of rows", text, 0)
@@ -289,7 +300,7 @@ def parse_operand(text: str, spec: FieldSpec, nvars: int | None):
     """Scalar string, JSON tuple (multivariate point), or JSON matrix."""
     stripped = text.strip()
     if stripped.startswith("["):
-        data = json.loads(stripped)
+        data = _parse_json(stripped, "operand")
         if data and isinstance(data[0], list):
             return parse_matrix(stripped, spec)
         return tuple(parse_element(str(entry), spec) for entry in data)
@@ -325,10 +336,28 @@ def _witness_to_json(w: Witness | None):
             "image": _value_to_json(w.image)}
 
 
-def build_report(command: str, verdict: Verdict, *, poly, field: FieldSpec,
+def _evidence_to_json(evidence):
+    """The report's extra: the evidence a verdict was read from, if any."""
+    if evidence is None:
+        return None
+    if isinstance(evidence, FactorProfile):
+        return {"c": str(evidence.c), "m": evidence.m_mult, "h": str(evidence.h),
+                "d": evidence.d,
+                "chosen_q": None if evidence.chosen_q is None else str(evidence.chosen_q)}
+    if isinstance(evidence, PermutationCheck):
+        return {"hermite": evidence.hermite, "exhaustive": evidence.exhaustive}
+    if isinstance(evidence, SimpleRootsReport):
+        return {"holds": evidence.holds,
+                "b": None if evidence.violating_b is None else str(evidence.violating_b),
+                "lambda": None if evidence.lam is None else str(evidence.lam),
+                "multiplicity": evidence.multiplicity_k,
+                "char_p_degenerate": evidence.char_p_degenerate}
+    raise InternalInvariantError(f"unserializable evidence {evidence!r}")
+
+
+def build_report(command: str, verdict: engine.Verdict, *, poly, field: FieldSpec,
                  n: int | None, nvars: int | None, lhs=None, rhs=None,
-                 bounds: Bounds, seed: int, extra: dict | None,
-                 timing_ms: int) -> dict:
+                 bounds: Bounds, seed: int, timing_ms: int) -> dict:
     return {
         "schema_version": "1",
         "command": command,
@@ -353,7 +382,7 @@ def build_report(command: str, verdict: Verdict, *, poly, field: FieldSpec,
             "witness": _witness_to_json(verdict.witness),
         },
         "theorem_clause": verdict.reason,
-        "extra": extra,
+        "extra": _evidence_to_json(verdict.evidence),
         "timing_ms": timing_ms,
     }
 
@@ -483,13 +512,19 @@ def _dispatch(args) -> dict:
     nvars = getattr(args, "vars", None)
     if nvars is not None and nvars < 1:
         raise _UsageError("--vars must be at least 1")
+    for flag, value in (("--height", args.height), ("--scalar-cap", args.scalar_cap),
+                        ("--matrix-cap", args.matrix_cap)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be at least 1")
     poly = parse_poly(args.poly, cspec, nvars if nvars and nvars >= 2 else None)
     bounds = Bounds(height=args.height, scalar_cap=args.scalar_cap,
                     matrix_cap=args.matrix_cap)
     seed = _resolve_seed(args)
     n = getattr(args, "n", None)
     lhs = rhs = None
-    extra = None
+    if args.verb == "verify":
+        lhs = parse_operand(args.lhs, cspec, nvars)
+        rhs = parse_operand(args.rhs, cspec, nvars)
 
     start = time.perf_counter()
     if args.verb == "analyze":
@@ -499,90 +534,32 @@ def _dispatch(args) -> dict:
             verdict = engine.scalar_injectivity(poly, spec, bounds)
     elif args.verb == "matrix":
         verdict = engine.matrix_injectivity(poly, n, spec, seed)
-        profile = factor_profile(poly, seed)
-        extra = {
-            "c": str(profile.c),
-            "m": profile.m_mult,
-            "h": str(profile.h),
-            "d": profile.d,
-            "chosen_q": None if profile.chosen_q is None else str(profile.chosen_q),
-        }
     elif args.verb == "permcheck":
-        check = engine.permutation_check(poly, cross_check_cap=bounds.scalar_cap)
-        extra = {"hermite": check.hermite, "exhaustive": check.exhaustive}
-        if check.is_permutation:
-            verdict = Verdict(Status.INJECTIVE, Reason.PERMUTATION_POLYNOMIAL,
-                              f"f permutes the {spec.order} elements of {spec}")
-        else:
-            verdict = Verdict(Status.NOT_INJECTIVE, Reason.NOT_PERMUTATION,
-                              "f is not a permutation polynomial",
-                              engine.first_scalar_collision(poly))
+        verdict = engine.permutation_verdict(poly, bounds)
     elif args.verb == "simpleroots":
-        report = engine.simple_roots_condition(poly, spec)
-        extra = {
-            "holds": report.holds,
-            "b": None if report.violating_b is None else str(report.violating_b),
-            "lambda": None if report.lam is None else str(report.lam),
-            "multiplicity": report.multiplicity_k,
-            "char_p_degenerate": report.char_p_degenerate,
-        }
-        if report.holds:
-            verdict = Verdict(Status.UNDECIDED, Reason.SIMPLE_ROOTS_HOLD,
-                              "every f - t has only simple roots in the field; "
-                              "this necessary condition decides nothing alone")
-        else:
-            reason = (Reason.CHAR_P_DEGENERATE if report.char_p_degenerate
-                      else Reason.SIMPLE_ROOTS_FAIL)
-            verdict = Verdict(
-                Status.NECESSARY_CONDITION_FAILS, reason,
-                f"f - {report.lam} has the root {report.violating_b} with "
-                f"multiplicity {report.multiplicity_k}; the map cannot be "
-                "injective on any algebra containing an index-2 nilpotent")
+        verdict = engine.simple_roots_verdict(poly, spec)
     elif args.verb == "bruteforce":
         if n is None:
             verdict = engine.brute_force_scalar(poly, bounds)
         else:
             verdict = engine.brute_force_matrix(poly, n, spec, bounds)
     elif args.verb == "search":
-        if n is None:
-            witness = engine.search_rational_collisions(poly, bounds.height)
-        else:
-            witness = engine.search_matrix_collisions(poly, n, bounds.height,
-                                                      bounds.matrix_cap)
-        if witness is not None:
-            verdict = Verdict(Status.NOT_INJECTIVE, Reason.SEARCH_COLLISION,
-                              f"collision found at height {bounds.height}", witness)
-        else:
-            verdict = Verdict(Status.UNDECIDED, Reason.SEARCH_EXHAUSTED,
-                              f"no collision up to height {bounds.height}")
+        verdict = engine.search_verdict(poly, n, bounds)
     elif args.verb == "verify":
-        lhs = parse_operand(args.lhs, cspec, nvars)
-        rhs = parse_operand(args.rhs, cspec, nvars)
-        try:
-            witness = engine.verify_witness(poly, lhs, rhs)
-            verdict = Verdict(Status.NOT_INJECTIVE, Reason.VERIFIED_PAIR,
-                              "the claimed pair verifies: distinct inputs, "
-                              "equal images", witness)
-        except AlgebraError as e:
-            verdict = Verdict(Status.UNDECIDED, Reason.NOT_A_WITNESS,
-                              f"the claimed pair does not verify: {e}")
+        verdict = engine.verify_verdict(poly, lhs, rhs)
     else:  # pragma: no cover
         raise _UsageError(f"unknown verb {args.verb}")
     timing_ms = int((time.perf_counter() - start) * 1000)
 
     return build_report(args.verb, verdict, poly=poly, field=spec, n=n,
                         nvars=nvars, lhs=lhs, rhs=rhs, bounds=bounds, seed=seed,
-                        extra=extra, timing_ms=timing_ms)
+                        timing_ms=timing_ms)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EX_USAGE
-    try:
         report = _dispatch(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

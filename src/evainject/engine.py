@@ -25,6 +25,14 @@ cross-checked by exhaustive scan at small q); the reals -> injective iff
 strictly monotone; Q -> bounded search only, never Injective for degree
 at least 2.
 
+Evidence
+--------
+A verdict carries the intermediate result it was read from in its
+evidence field: the FactorProfile on every matrix_injectivity verdict, the
+PermutationCheck on permutation_verdict's, and the SimpleRootsReport on
+simple_roots_verdict's.  The scalar, multivariate, search and verify
+verdicts and the brute-force oracles carry none.
+
 Everything is a pure function of its inputs, the seed, and the bounds;
 enumerations report the first collision in a documented scan order, so
 witnesses are reproducible.
@@ -67,6 +75,7 @@ from .matrices import (
     minimal_polynomial,
 )
 from .polynomials import (
+    FactorProfile,
     MultiPoly,
     UniPoly,
     extended_gcd,
@@ -105,6 +114,10 @@ __all__ = [
     "search_tuple_collisions",
     "rational_grid",
     "monotonicity_violation",
+    "permutation_verdict",
+    "simple_roots_verdict",
+    "search_verdict",
+    "verify_verdict",
 ]
 
 
@@ -174,6 +187,7 @@ class Verdict:
     reason: str
     detail: str
     witness: Witness | None = None
+    evidence: FactorProfile | PermutationCheck | SimpleRootsReport | None = None
 
     def __post_init__(self):
         if self.status is Status.NOT_INJECTIVE and self.witness is None:
@@ -276,6 +290,17 @@ def _first_collision(f, points: Iterable) -> Witness | None:
     return None
 
 
+def verify_verdict(f, lhs, rhs) -> Verdict:
+    """NotInjective with the checked pair as witness, or Undecided if it fails."""
+    try:
+        w = verify_witness(f, lhs, rhs)
+    except AlgebraError as e:
+        return Verdict(Status.UNDECIDED, Reason.NOT_A_WITNESS,
+                       f"the claimed pair does not verify: {e}")
+    return Verdict(Status.NOT_INJECTIVE, Reason.VERIFIED_PAIR,
+                   "the claimed pair verifies: distinct inputs, equal images", w)
+
+
 # ---------------------------------------------------------------------------
 # Rational search grids
 # ---------------------------------------------------------------------------
@@ -296,14 +321,20 @@ def rational_grid(height: int) -> list[Fraction]:
     return out
 
 
+def _search_spec(f) -> Rationals:
+    """f's coefficient field, which a rational collision search needs to be Q."""
+    if not isinstance(f.spec, Rationals):
+        raise SpecMismatchError("rational collision search needs coefficients in Q")
+    return f.spec
+
+
 def search_rational_collisions(f: UniPoly, height: int) -> Witness | None:
     """Scan the rational grid for two points with equal values under f.
 
     Returns the first verified collision in grid order, or None.
     """
-    if not isinstance(f.spec, Rationals):
-        raise SpecMismatchError("rational collision search needs coefficients in Q")
-    return _first_collision(f, (f.spec.element(r) for r in rational_grid(height)))
+    spec = _search_spec(f)
+    return _first_collision(f, (spec.element(r) for r in rational_grid(height)))
 
 
 def search_matrix_collisions(f: UniPoly, n: int, height: int,
@@ -313,14 +344,28 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     The grid has len(rational_grid(height)) ** (n * n) points; exceeding
     the cap raises rather than running for hours.
     """
-    if not isinstance(f.spec, Rationals):
-        raise SpecMismatchError("rational collision search needs coefficients in Q")
-    grid = [f.spec.element(r) for r in rational_grid(height)]
+    spec = _search_spec(f)
+    grid = [spec.element(r) for r in rational_grid(height)]
     total = len(grid) ** (n * n)
     if total > cap:
         raise EnumerationCapExceededError(
             f"{total} candidate matrices exceed the cap {cap}; lower the height")
     return _first_collision(f, _all_matrices(f.spec, n, grid))
+
+
+def search_verdict(f: UniPoly, n: int | None,
+                   bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
+    """Bounded collision search on the rational grid, or on n x n matrices
+    with grid entries when n is given."""
+    if n is None:
+        w = search_rational_collisions(f, bounds.height)
+    else:
+        w = search_matrix_collisions(f, n, bounds.height, bounds.matrix_cap)
+    if w is not None:
+        return Verdict(Status.NOT_INJECTIVE, Reason.SEARCH_COLLISION,
+                       f"collision found at height {bounds.height}", w)
+    return Verdict(Status.UNDECIDED, Reason.SEARCH_EXHAUSTED,
+                   f"no collision up to height {bounds.height}")
 
 
 def search_tuple_collisions(f: MultiPoly, height: int,
@@ -330,12 +375,11 @@ def search_tuple_collisions(f: MultiPoly, height: int,
 
     Returns (witness or None, effective height used).
     """
-    if not isinstance(f.spec, Rationals):
-        raise SpecMismatchError("rational collision search needs coefficients in Q")
+    spec = _search_spec(f)
     h = max(height, 1)
     while h > 1 and len(rational_grid(h)) ** f.m > cap:
         h -= 1
-    grid = [f.spec.element(r) for r in rational_grid(h)]
+    grid = [spec.element(r) for r in rational_grid(h)]
     if len(grid) ** f.m > cap:
         raise EnumerationCapExceededError(
             f"even height 1 yields {len(grid) ** f.m} points over the cap {cap}")
@@ -447,6 +491,18 @@ def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_c
     return PermutationCheck(hermite, hermite, exhaustive)
 
 
+def permutation_verdict(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
+    """Injective iff f permutes F_q, else the first collision; carries the check."""
+    check = permutation_check(f, cross_check_cap=bounds.scalar_cap)
+    if check.is_permutation:
+        return Verdict(Status.INJECTIVE, Reason.PERMUTATION_POLYNOMIAL,
+                       f"f permutes the {f.spec.order} elements of {f.spec}",
+                       evidence=check)
+    return Verdict(Status.NOT_INJECTIVE, Reason.NOT_PERMUTATION,
+                   "f is not a permutation polynomial", first_scalar_collision(f),
+                   check)
+
+
 def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleRootsReport:
     """Check that f - t has only simple roots in F for every t.
 
@@ -465,23 +521,33 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     fp = f.derivative()
     if fp.is_zero():
         b = spec.zero()
-        lam = f.eval(b)
-        k = root_multiplicity(f - UniPoly.constant(spec, lam), b)
-        return SimpleRootsReport(False, b, lam, k, char_p_degenerate=True)
-    if spec.is_finite:
-        for b in spec.elements():
-            if fp.eval(b).is_zero():
-                lam = f.eval(b)
-                k = root_multiplicity(f - UniPoly.constant(spec, lam), b)
-                return SimpleRootsReport(False, b, lam, k)
+    elif spec.is_finite:
+        b = next((b for b in spec.elements() if fp.eval(b).is_zero()), None)
+    else:
+        roots = rational_roots(fp)
+        b = spec.element(roots[0]) if roots else None
+    if b is None:
         return SimpleRootsReport(True)
-    roots = rational_roots(fp)
-    if roots:
-        b = spec.element(roots[0])
-        lam = f.eval(b)
-        k = root_multiplicity(f - UniPoly.constant(spec, lam), b)
-        return SimpleRootsReport(False, b, lam, k)
-    return SimpleRootsReport(True)
+    lam = f.eval(b)
+    k = root_multiplicity(f - UniPoly.constant(spec, lam), b)
+    return SimpleRootsReport(False, b, lam, k, char_p_degenerate=fp.is_zero())
+
+
+def simple_roots_verdict(f: UniPoly, spec: FieldSpec | None = None) -> Verdict:
+    """The simple-roots necessary condition as a verdict; carries the report."""
+    report = simple_roots_condition(f, spec)
+    if report.holds:
+        return Verdict(Status.UNDECIDED, Reason.SIMPLE_ROOTS_HOLD,
+                       "every f - t has only simple roots in the field; "
+                       "this necessary condition decides nothing alone",
+                       evidence=report)
+    reason = (Reason.CHAR_P_DEGENERATE if report.char_p_degenerate
+              else Reason.SIMPLE_ROOTS_FAIL)
+    return Verdict(Status.NECESSARY_CONDITION_FAILS, reason,
+                   f"f - {report.lam} has the root {report.violating_b} with "
+                   f"multiplicity {report.multiplicity_k}; the map cannot be "
+                   "injective on any algebra containing an index-2 nilpotent",
+                   evidence=report)
 
 
 def _pure_power_center(f: UniPoly) -> FieldElement | None:
@@ -601,7 +667,7 @@ def matrix_injectivity(f: UniPoly, n: int, spec: FieldSpec | None = None,
     irreducible factors of h.  m >= 2 gives the nilpotent witness, d <= n
     the embedded-companion witness (both collide with the zero matrix);
     n < d leaves injectivity undecided, although no nonzero A can collide
-    with 0 there.
+    with 0 there.  Every verdict carries the profile as its evidence.
     """
     spec = spec or f.spec
     _check_pairing(f, spec)
@@ -610,17 +676,16 @@ def matrix_injectivity(f: UniPoly, n: int, spec: FieldSpec | None = None,
                                      "scalar analysis for n = 1")
     if f.degree < 1:
         raise ConstantPolynomialError("matrix analysis needs degree >= 1")
+    profile = factor_profile(f, seed)
     if f.degree == 1:
         return Verdict(Status.INJECTIVE, Reason.DEGREE_ONE,
                        "an affine map a*x+b with a != 0 is injective on any "
-                       "algebra over the field")
+                       "algebra over the field", evidence=profile)
     cspec = f.spec
-    profile = factor_profile(f, seed)
-    tag_note = ""
-    if spec.is_symbolic:
-        tag_note = (" (the witness has coordinates in Q, which embeds in any "
-                    f"{'algebraically closed' if isinstance(spec, AlgClosedTag) else 'real closed'}"
-                    " field of characteristic 0)")
+    closed = isinstance(spec, AlgClosedTag)
+    kind = "algebraically closed" if closed else "real closed"
+    tag_note = (" (the witness has coordinates in Q, which embeds in any "
+                f"{kind} field of characteristic 0)" if spec.is_symbolic else "")
 
     if profile.m_mult >= 2:
         nilpotent = jordan_nilpotent_embed(n, cspec)
@@ -628,31 +693,29 @@ def matrix_injectivity(f: UniPoly, n: int, spec: FieldSpec | None = None,
         return Verdict(Status.NOT_INJECTIVE, Reason.NILPOTENT_WITNESS,
                        f"0 has multiplicity m={profile.m_mult} >= 2 in f - f(0), "
                        "so the index-2 nilpotent N satisfies f(N) = f(0)*I"
-                       + tag_note, w)
+                       + tag_note, w, profile)
     if profile.d is not None and profile.d <= n:
         comp = companion(profile.chosen_q)
         w = verify_witness(f, block_embed(comp, n), Matrix.zeros(cspec, n))
         return Verdict(Status.NOT_INJECTIVE, Reason.COMPANION_WITNESS,
                        f"h has an irreducible factor q = {profile.chosen_q} of "
                        f"minimal degree d={profile.d} <= n={n}; its companion "
-                       "block C' satisfies f(C') = f(0)*I" + tag_note, w)
+                       "block C' satisfies f(C') = f(0)*I" + tag_note, w, profile)
 
     if spec.is_symbolic:
-        kind = ("algebraically closed" if isinstance(spec, AlgClosedTag)
-                else "real closed")
         return Verdict(
             Status.NECESSARY_CONDITION_FAILS, Reason.ROOTS_OUTSIDE_COMPUTABLE_FIELD,
             f"over a {kind} field every irreducible factor has degree "
-            f"{'1' if isinstance(spec, AlgClosedTag) else 'at most 2'} <= n={n}, "
+            f"{'1' if closed else 'at most 2'} <= n={n}, "
             "so the map is not injective, but the companion construction needs "
             f"a factor over that field and the factors over Q all have degree "
-            f">= {profile.d}; no exact witness was constructed")
+            f">= {profile.d}; no exact witness was constructed", evidence=profile)
     return Verdict(
         Status.UNDECIDED, Reason.OPEN_CASE_BELOW_D,
         f"n={n} < d={profile.d}: every nonzero A has f(A) != f(0)*I, because "
         "gcd(m_A, f - f(0)) = 1 would be contradicted (Bezout identity on the "
         "minimal polynomial); collisions between two nonzero matrices remain "
-        "undecided")
+        "undecided", evidence=profile)
 
 
 def bezout_noncollision_certificate(f: UniPoly, a: Matrix,
@@ -762,12 +825,17 @@ def brute_force_scalar(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     if spec.order > bounds.scalar_cap:
         raise EnumerationCapExceededError(
             f"q = {spec.order} exceeds the scalar cap {bounds.scalar_cap}")
-    w = _first_collision(f, spec.elements())
+    return _exhaustive_verdict(f, spec.elements(), spec.order)
+
+
+def _exhaustive_verdict(f, points: Iterable, total: int) -> Verdict:
+    """The oracles' verdict on a complete scan of total points."""
+    w = _first_collision(f, points)
     if w is not None:
         return Verdict(Status.NOT_INJECTIVE, Reason.EXHAUSTIVE,
                        "collision found by complete enumeration", w)
     return Verdict(Status.INJECTIVE, Reason.EXHAUSTIVE,
-                   f"all {spec.order} values are distinct")
+                   f"all {total} values are distinct")
 
 
 def _all_matrices(spec: FieldSpec, n: int, entries: list) -> Iterable[Matrix]:
@@ -776,9 +844,10 @@ def _all_matrices(spec: FieldSpec, n: int, entries: list) -> Iterable[Matrix]:
         yield Matrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
-def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
-                       bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
-    """Exhaustive matrix oracle over a finite field: scan all of M_n(F_q)."""
+def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None,
+                     bounds: Bounds) -> tuple[int, Iterable[Matrix]]:
+    """The size of M_n(F_q) and its matrices in scan order, for the oracles
+    below, once the field and the cap allow a complete enumeration."""
     spec = spec or f.spec
     if spec != f.spec:
         raise SpecMismatchError("oracle field must match the coefficient field")
@@ -788,12 +857,14 @@ def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
     if total > bounds.matrix_cap:
         raise EnumerationCapExceededError(
             f"q^(n^2) = {total} matrices exceed the cap {bounds.matrix_cap}")
-    w = _first_collision(f, _all_matrices(spec, n, list(spec.elements())))
-    if w is not None:
-        return Verdict(Status.NOT_INJECTIVE, Reason.EXHAUSTIVE,
-                       "collision found by complete enumeration", w)
-    return Verdict(Status.INJECTIVE, Reason.EXHAUSTIVE,
-                   f"all {total} values are distinct")
+    return total, _all_matrices(spec, n, list(spec.elements()))
+
+
+def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
+                       bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
+    """Exhaustive matrix oracle over a finite field: scan all of M_n(F_q)."""
+    total, matrices = _oracle_matrices(f, n, spec, bounds)
+    return _exhaustive_verdict(f, matrices, total)
 
 
 def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
@@ -803,18 +874,6 @@ def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
     Empty exactly when no nonzero matrix collides with 0; confirms the
     n < d conclusion on small instances.
     """
-    spec = spec or f.spec
-    if spec != f.spec:
-        raise SpecMismatchError("oracle field must match the coefficient field")
-    if not spec.is_finite:
-        raise SpecMismatchError("brute force enumerates finite fields")
-    total = spec.order ** (n * n)
-    if total > bounds.matrix_cap:
-        raise EnumerationCapExceededError(
-            f"q^(n^2) = {total} matrices exceed the cap {bounds.matrix_cap}")
-    target = Matrix.identity(spec, n).scale(f.constant_term)
-    out = []
-    for a in _all_matrices(spec, n, list(spec.elements())):
-        if not a.is_zero() and mat_poly_eval(f, a) == target:
-            out.append(a)
-    return out
+    _, matrices = _oracle_matrices(f, n, spec, bounds)
+    target = Matrix.identity(f.spec, n).scale(f.constant_term)
+    return [a for a in matrices if not a.is_zero() and mat_poly_eval(f, a) == target]

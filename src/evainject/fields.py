@@ -513,8 +513,7 @@ class _SymbolicTag(FieldSpec):
             f"{self._name} is a verdict-only tag and carries no elements")
 
     def from_int(self, k):
-        raise SymbolicFieldError(
-            f"{self._name} is a verdict-only tag and carries no elements")
+        return self.element(k)
 
     def __eq__(self, other):
         return type(other) is type(self)

@@ -124,14 +124,7 @@ class UniPoly:
         return UniPoly(self.spec, [self.spec.zero()] * k + list(self.coeffs))
 
     def __pow__(self, e: int) -> "UniPoly":
-        result = UniPoly.constant(self.spec, self.spec.one())
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, UniPoly.constant(self.spec, self.spec.one()), e)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         self._check(other)
@@ -183,8 +176,8 @@ class UniPoly:
                 raise SpecMismatchError("evaluation point from a different field")
         else:
             a = self.spec.element(a)
-        acc = self.spec.zero()
-        for c in reversed(self.coeffs):
+        acc = self.coeffs[-1] if self.coeffs else self.spec.zero()
+        for c in self.coeffs[-2::-1]:
             acc = acc * a + c
         return acc
 
@@ -223,16 +216,9 @@ class UniPoly:
         if self.is_zero():
             return "0"
         idx = range(len(self.coeffs) - 1, -1, -1) if descending else range(len(self.coeffs))
-        parts: list[str] = []
-        for i in idx:
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            parts.append(_term_str(c, i, var))
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return _join_terms(
+            _term_str(self.coeffs[i], "" if i == 0 else (var if i == 1 else f"{var}^{i}"))
+            for i in idx if not self.coeffs[i].is_zero())
 
     def __str__(self):
         return self.format()
@@ -241,9 +227,19 @@ class UniPoly:
         return f"UniPoly({self.spec}, {self})"
 
 
-def _term_str(c: FieldElement, i: int, var: str) -> str:
-    """One printed term; negative rationals keep their sign on the coefficient."""
-    body = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+def _power(base, result, e: int):
+    """result * base^e by repeated squaring; result is the ring's one."""
+    while e > 0:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
+def _term_str(c: FieldElement, body: str) -> str:
+    """One printed term c*body (body "" for the constant term); negative
+    rationals keep their sign on the coefficient."""
     cs = str(c)
     if not body:
         return f"({cs})" if _needs_parens(cs) else cs
@@ -254,6 +250,15 @@ def _term_str(c: FieldElement, i: int, var: str) -> str:
     if _needs_parens(cs):
         return f"({cs})*{body}"
     return f"{cs}*{body}"
+
+
+def _join_terms(parts: Iterable[str]) -> str:
+    """Terms joined by "+", except before a term that carries its own sign."""
+    parts = list(parts)
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
 
 
 def _needs_parens(cs: str) -> bool:
@@ -336,9 +341,7 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
         roots.append(Fraction(0))
     if h.degree < 1:
         return roots
-    den_lcm = 1
-    for c in h.coeffs:
-        den_lcm = den_lcm * c.value.denominator // math.gcd(den_lcm, c.value.denominator)
+    den_lcm = math.lcm(*(c.value.denominator for c in h.coeffs))
     ints = [int(c.value * den_lcm) for c in h.coeffs]
     a0, an = ints[0], ints[-1]
     for p in _int_divisors(a0):
@@ -440,14 +443,7 @@ class MultiPoly:
         return MultiPoly(self.spec, self.m, out)
 
     def __pow__(self, e: int) -> "MultiPoly":
-        result = MultiPoly.constant(self.spec, self.m, self.spec.one())
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, MultiPoly.constant(self.spec, self.m, self.spec.one()), e)
 
     def eval(self, point: Sequence[FieldElement]) -> FieldElement:
         if len(point) != self.m:
@@ -482,26 +478,10 @@ class MultiPoly:
         def key(item):
             exps, _ = item
             return (sum(exps), exps)
-        parts = []
-        for exps, c in sorted(self.terms.items(), key=key, reverse=True):
-            body = "*".join(
-                (f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-                for i, e in enumerate(exps) if e > 0)
-            cs = str(c)
-            if not body:
-                parts.append(f"({cs})" if _needs_parens(cs) else cs)
-            elif cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append("-" + body)
-            elif _needs_parens(cs):
-                parts.append(f"({cs})*{body}")
-            else:
-                parts.append(f"{cs}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return _join_terms(
+            _term_str(c, "*".join((f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
+                                  for i, e in enumerate(exps) if e > 0))
+            for exps, c in sorted(self.terms.items(), key=key, reverse=True))
 
     def __str__(self):
         return self.format()

@@ -234,16 +234,14 @@ def _zx_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _gf_trim(out)
 
 
-def _zx_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return _gf_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                     for i in range(n)])
-
-
 def _zx_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
     return _gf_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                      for i in range(n)])
+
+
+def _zx_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return _zx_add(a, [-c for c in b])
 
 
 def _zx_primitive(a: Sequence[int]) -> list[int]:
@@ -275,48 +273,31 @@ def _zp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     return _trunc_sym(_zx_mul(a, b), m)
 
 
-def _zx_divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Exact integer division by a monic polynomial."""
-    r = list(a)
-    _gf_trim(r)
-    db = _zx_deg(b)
-    q = [0] * max(len(r) - db, 0)
-    while _zx_deg(r) >= db and r:
-        shift = _zx_deg(r) - db
-        c = r[-1]
+def _zx_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """(q, r) with a = q*b + r and deg r < deg b in Z[x], or None when some
+    step's leading coefficient is not divisible by lc(b).
+
+    Long division fixes q from the top down, so that step rules out any
+    quotient in Z[x]; a monic b always divides.
+    """
+    r = _gf_trim(list(a))
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, rest = divmod(r[-1], b[-1])
+        if rest:
+            return None
+        shift = len(r) - len(b)
         q[shift] = c
-        for i in range(db + 1):
-            r[shift + i] -= c * b[i]
+        for i, bi in enumerate(b):
+            r[shift + i] -= c * bi
         _gf_trim(r)
     return _gf_trim(q), r
 
 
 def _zx_try_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     """Quotient a/b in Z[x] if b divides a exactly, else None."""
-    if not b:
-        return None
-    fa = [Fraction(c) for c in a]
-    r = list(fa)
-    while r and r[-1] == 0:
-        r.pop()
-    db = _zx_deg(b)
-    if len(r) - 1 < db:
-        return None if r else []
-    lead = Fraction(b[-1])
-    q = [Fraction(0)] * (len(r) - db)
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        c = r[-1] / lead
-        q[shift] = c
-        for i in range(db + 1):
-            r[shift + i] -= c * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    if r:
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return [int(c) for c in q]
+    qr = _zx_divmod(a, b) if b else None
+    return qr[0] if qr is not None and not qr[1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +312,12 @@ def _hensel_step(m: int, f, g, h, s, t):
     """
     mm = m * m
     e = _trunc_sym(_zx_sub(f, _zx_mul(g, h)), mm)
-    q, r = _zx_divmod_monic(_zx_mul(s, e), h)
+    q, r = _zx_divmod(_zx_mul(s, e), h)
     q, r = _trunc_sym(q, mm), _trunc_sym(r, mm)
     big_g = _trunc_sym(_zx_add(_zx_add(g, _zx_mul(t, e)), _zx_mul(q, g)), mm)
     big_h = _trunc_sym(_zx_add(h, r), mm)
     b = _trunc_sym(_zx_sub(_zx_add(_zx_mul(s, big_g), _zx_mul(t, big_h)), [1]), mm)
-    c, d = _zx_divmod_monic(_zx_mul(s, b), big_h)
+    c, d = _zx_divmod(_zx_mul(s, b), big_h)
     c, d = _trunc_sym(c, mm), _trunc_sym(d, mm)
     big_s = _trunc_sym(_zx_sub(s, d), mm)
     big_t = _trunc_sym(_zx_sub(_zx_sub(t, _zx_mul(t, b)), _zx_mul(c, big_g)), mm)
@@ -450,9 +431,7 @@ def factor_rationals(f: UniPoly, seed: int = DEFAULT_SEED):
     unit = f.leading
     collected: dict[UniPoly, int] = {}
     for part, mult in squarefree_decomposition(f):
-        den = 1
-        for c in part.coeffs:
-            den = den * c.value.denominator // math.gcd(den, c.value.denominator)
+        den = math.lcm(*(c.value.denominator for c in part.coeffs))
         ints = _zx_primitive([int(c.value * den) for c in part.coeffs])
         if max(abs(c) for c in ints).bit_length() > COEFF_BIT_CAP:
             raise CoefficientCapExceededError(

@@ -260,3 +260,42 @@ def test_cli_extension_field_run(capsys):
                                          "--field", "F9:modulus=x^2+1"])
     assert code == 1
     assert report["verdict"]["witness"]["kind"] == "scalar"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--poly", "x", "--field", "F" + "9" * 5000],
+    ["analyze", "--poly", "x+" + "1" * 5000, "--field", "Q"],
+    ["verify", "--poly", "x^2", "--field", "Q", "--lhs", "[1,", "--rhs", "2"],
+], ids=["field-size-digits", "coefficient-digits", "operand-json"])
+def test_cli_bad_numeric_input_is_parse_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 64 and out == ""
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--height", "0"), ("--scalar-cap", "0"), ("--matrix-cap", "-3")])
+def test_cli_rejects_bounds_below_one(capsys, flag, value):
+    code, out, err = _run(capsys, ["analyze", "--poly", "x^2", "--field", "ACF",
+                                   flag, value])
+    assert code == 64 and out == ""
+    assert err == f"usage error: {flag} must be at least 1\n"
+
+
+def test_cli_matrix_factors_f_once(capsys, monkeypatch):
+    from evainject import cli as cli_module
+    from evainject import engine
+
+    calls = []
+    original = engine.factor_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "factor_profile", counting)
+    monkeypatch.setattr(cli_module, "factor_profile", counting, raising=False)
+    code, report, _ = _run_json(capsys, ["matrix", "--poly", "x^4+2*x",
+                                         "--field", "Q", "--n", "2"])
+    assert code == 2 and report["extra"]["d"] == 3
+    assert len(calls) == 1

@@ -15,6 +15,7 @@ from evainject import (
     bezout_noncollision_certificate,
     brute_force_matrix,
     brute_force_zero_fiber,
+    factor_profile,
     mat_poly_eval,
     matrix_injectivity,
     minimal_polynomial,
@@ -255,3 +256,17 @@ def _nonsingular_matrices_f2():
         if not det.is_zero():
             out.append(a)
     return out
+
+
+@pytest.mark.parametrize("coeffs, spec, n, reason", [
+    ([1, 2], QQ, 2, Reason.DEGREE_ONE),
+    ([1, 0, 1], QQ, 2, Reason.NILPOTENT_WITNESS),
+    ([0, 1, 0, 1], QQ, 2, Reason.COMPANION_WITNESS),
+    ([0, 2, 0, 0, 1], QQ, 2, Reason.OPEN_CASE_BELOW_D),
+    ([0, 2, 0, 0, 1], ACF, 2, Reason.ROOTS_OUTSIDE_COMPUTABLE_FIELD),
+])
+def test_matrix_verdict_carries_its_profile(coeffs, spec, n, reason):
+    f = U(QQ, coeffs)
+    v = matrix_injectivity(f, n, spec, seed=11)
+    assert v.reason == reason
+    assert v.evidence == factor_profile(f, 11)

@@ -2,8 +2,11 @@
 
 tests/golden/reports.json holds, for each invocation in CASES, the exit
 code, stderr and JSON report (timing_ms removed) that the CLI produced
-when the corpus was recorded.  A refactor must reproduce every record
-exactly; a change in behaviour re-records the corpus on purpose with
+when the corpus was recorded; cases that ask for text output store stdout
+without its time: line instead of the report.  Every report must also
+conform to the shipped report_schema.json.  A refactor must reproduce
+every record exactly; a change in behaviour re-records the corpus on
+purpose with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,7 +18,9 @@ import json
 import os
 import pathlib
 
-from evainject.cli import main
+import jsonschema
+
+from evainject.cli import main, report_schema
 
 CORPUS = pathlib.Path(__file__).parent / "golden" / "reports.json"
 
@@ -91,18 +96,41 @@ CASES = [
     ["analyze", "--poly", "x^", "--field", "Q"],
     ["bruteforce", "--poly", "x^2", "--field", "Q"],
     ["search", "--poly", "x^2", "--field", "Q", "--n", "2", "--height", "5"],
+    # verdicts built from engine evidence: matrix profile, permcheck, simpleroots
+    ["matrix", "--poly", "2*x+1", "--field", "Q", "--n", "2"],
+    ["matrix", "--poly", "x^2", "--field", "F3", "--n", "1"],
+    ["permcheck", "--poly", "x^2", "--field", "Q"],
+    ["simpleroots", "--poly", "x^2", "--field", "ACF"],
+    ["search", "--poly", "x^2", "--field", "F5"],
+    ["verify", "--poly", "x^2", "--field", "F5", "--lhs", '[["1"]]', "--rhs", '[["4"]]'],
+    ["verify", "--poly", "x^2", "--field", "Q", "--lhs", '["1","0"]', "--rhs", '[["1"]]'],
+    # text output
+    ["matrix", "--poly", "x^3+x", "--field", "F3", "--n", "2", "--output", "text"],
+    ["permcheck", "--poly", "x^2", "--field", "F5", "--output", "text"],
+    ["simpleroots", "--poly", "x^3+x", "--field", "F5", "--output", "text"],
 ]
 
 
 def run_case(argv):
-    """One in-process CLI run: the record the corpus stores for argv."""
+    """One in-process CLI run: the record the corpus stores for argv.
+
+    JSON runs (the default) keep the report, checked against the schema;
+    runs that name their --output keep stdout minus its time: line."""
+    text = "--output" in argv
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--output", "json"])
+        code = main(argv if text else argv + ["--output", "json"])
+    record = {"argv": argv, "exit": code, "stderr": err.getvalue()}
+    if text:
+        record["stdout"] = "".join(line for line in out.getvalue().splitlines(True)
+                                   if not line.startswith("time: "))
+        return record
     report = json.loads(out.getvalue()) if out.getvalue().strip() else None
     if report is not None:
+        jsonschema.validate(report, report_schema())
         del report["timing_ms"]
-    return {"argv": argv, "exit": code, "stderr": err.getvalue(), "report": report}
+    record["report"] = report
+    return record
 
 
 def _canonical(record) -> str:
