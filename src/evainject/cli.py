@@ -223,11 +223,11 @@ class _PolyParser:
                 raise ParseError("zero denominator", self.text, at)
             return self._constant(self.spec.element(Fraction(num, den)))
         try:
-            inv = self.spec.from_int(den).inv()
+            inv = self.spec.element(den).inv()
         except DivisionByZeroError:
             raise ParseError(f"denominator {den} is not invertible in {self.spec}",
                              self.text, at) from None
-        return self._constant(self.spec.from_int(num) * inv)
+        return self._constant(self.spec.element(num) * inv)
 
 
 def parse_poly(text: str, spec: FieldSpec, nvars: int | None = None):

@@ -377,9 +377,11 @@ def search_tuple_collisions(f: MultiPoly, height: int,
     """
     spec = _search_spec(f)
     h = max(height, 1)
-    while h > 1 and len(rational_grid(h)) ** f.m > cap:
+    points = rational_grid(h)
+    while h > 1 and len(points) ** f.m > cap:
         h -= 1
-    grid = [spec.element(r) for r in rational_grid(h)]
+        points = [r for r in points if r.denominator <= h and abs(r) <= h]
+    grid = [spec.element(r) for r in points]
     if len(grid) ** f.m > cap:
         raise EnumerationCapExceededError(
             f"even height 1 yields {len(grid) ** f.m} points over the cap {cap}")
@@ -512,10 +514,10 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     identically (characteristic p), the condition fails degenerately.
     """
     spec = spec or f.spec
-    if spec != f.spec:
-        raise SpecMismatchError("report field must match the coefficient field")
     if spec.is_symbolic:
         raise SpecMismatchError("simple-roots check needs a concrete field")
+    if spec != f.spec:
+        raise SpecMismatchError("report field must match the coefficient field")
     if f.degree < 1:
         raise ConstantPolynomialError("simple-roots check needs degree >= 1")
     fp = f.derivative()
@@ -554,7 +556,7 @@ def _pure_power_center(f: UniPoly) -> FieldElement | None:
     """b with f = lc * (x - b)^deg + f(b), if f is a shifted pure power."""
     spec = f.spec
     d = f.degree
-    b = -(f.coeffs[d - 1] / (spec.from_int(d) * f.leading))
+    b = -(f.coeffs[d - 1] / (spec.element(d) * f.leading))
     shifted = f.compose_shift(b)
     if all(shifted.coeff(i).is_zero() for i in range(1, d)):
         return b

@@ -2,6 +2,10 @@
 
 A FieldSpec names a field and owns arithmetic on canonical values; a
 FieldElement is an immutable (spec, value) pair with operator overloads.
+There is one FieldSpec object per field: PrimeField(5) returns the same
+object every time, as do ExtensionField with the same reduced modulus and
+Rationals() (which is QQ), so field equality is identity.  A spec's
+element() is the one way to build an element from plain values.
 Canonical values are
 
   * an int in [0, p) for F_p,
@@ -239,11 +243,28 @@ BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
+# The one object of each field, keyed by its class for Q, ACF and RCF and by
+# (class, parameters) for F_p and F_{p^k}.  Never pruned.
+_FIELDS: dict = {}
+
+
 class FieldSpec:
-    """Abstract description of a field; concrete subclasses own arithmetic."""
+    """Abstract description of a field; concrete subclasses own arithmetic.
+
+    Constructing a field returns the object already built for it, so two
+    specs are equal exactly when they are the same object.  element() is
+    the one constructor of elements from ints (and Fractions over Q).
+    """
 
     is_finite = False
     is_symbolic = False
+
+    def __new__(cls):
+        """The one object of a field without parameters (Q, ACF, RCF)."""
+        field = _FIELDS.get(cls)
+        if field is None:
+            field = _FIELDS.setdefault(cls, object.__new__(cls))
+        return field
 
     @property
     def order(self) -> int:
@@ -256,14 +277,11 @@ class FieldSpec:
     def element(self, value) -> "FieldElement":
         raise NotImplementedError
 
-    def from_int(self, k: int) -> "FieldElement":
-        raise NotImplementedError
-
     def zero(self) -> "FieldElement":
-        return self.from_int(0)
+        return self.element(0)
 
     def one(self) -> "FieldElement":
-        return self.from_int(1)
+        return self.element(1)
 
     def elements(self) -> Iterator["FieldElement"]:
         """Yield every element once, in the canonical enumeration order."""
@@ -297,10 +315,15 @@ class PrimeField(FieldSpec):
 
     is_finite = True
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise InvalidFieldError(f"{p} is not prime")
-        self.p = p
+    def __new__(cls, p: int):
+        field = _FIELDS.get((cls, p))
+        if field is None:
+            if not is_prime(p):
+                raise InvalidFieldError(f"{p} is not prime")
+            field = object.__new__(cls)
+            field.p = p
+            field = _FIELDS.setdefault((cls, p), field)
+        return field
 
     @property
     def order(self) -> int:
@@ -311,10 +334,10 @@ class PrimeField(FieldSpec):
         return self.p
 
     def element(self, value) -> "FieldElement":
-        return FieldElement(self, int(value) % self.p)
-
-    def from_int(self, k: int) -> "FieldElement":
-        return FieldElement(self, k % self.p)
+        if not isinstance(value, int):
+            raise SpecMismatchError(
+                f"elements of {self} are built from ints, not {value!r}")
+        return FieldElement(self, value % self.p)
 
     def elements(self) -> Iterator["FieldElement"]:
         for v in range(self.p):
@@ -345,12 +368,6 @@ class PrimeField(FieldSpec):
     def _format(self, a) -> str:
         return str(a)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
-
     def __repr__(self):
         return f"F{self.p}"
 
@@ -366,20 +383,25 @@ class ExtensionField(FieldSpec):
 
     is_finite = True
 
-    def __init__(self, p: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise InvalidFieldError(f"{p} is not prime")
-        mod = _gf_trim([c % p for c in modulus])
-        if len(mod) < 3:
-            raise InvalidFieldError("extension modulus must have degree >= 2")
-        if mod[-1] != 1:
-            raise InvalidFieldError("extension modulus must be monic")
-        if not _gf_is_irreducible(mod, p):
-            raise InvalidFieldError(
-                f"modulus {_gf_poly_str(mod)} is reducible over F{p}")
-        self.p = p
-        self.modulus = tuple(mod)
-        self.k = len(mod) - 1
+    def __new__(cls, p: int, modulus: Sequence[int]):
+        PrimeField(p)  # checks p once per process
+        mod = tuple(_gf_trim([c % p for c in modulus]))
+        key = (cls, p, mod)
+        field = _FIELDS.get(key)
+        if field is None:
+            if len(mod) < 3:
+                raise InvalidFieldError("extension modulus must have degree >= 2")
+            if mod[-1] != 1:
+                raise InvalidFieldError("extension modulus must be monic")
+            if not _gf_is_irreducible(mod, p):
+                raise InvalidFieldError(
+                    f"modulus {_gf_poly_str(mod)} is reducible over F{p}")
+            field = object.__new__(cls)
+            field.p = p
+            field.modulus = mod
+            field.k = len(mod) - 1
+            field = _FIELDS.setdefault(key, field)
+        return field
 
     @property
     def order(self) -> int:
@@ -394,12 +416,13 @@ class ExtensionField(FieldSpec):
         return tuple(reduced) + (0,) * (self.k - len(reduced))
 
     def element(self, value) -> "FieldElement":
+        """From an int or a sequence of ints (generator coefficients, ascending)."""
         if isinstance(value, int):
-            return self.from_int(value)
+            value = [value]
+        elif not (isinstance(value, Sequence) and all(isinstance(c, int) for c in value)):
+            raise SpecMismatchError(
+                f"elements of {self} are built from ints or int sequences, not {value!r}")
         return FieldElement(self, self._canon(value))
-
-    def from_int(self, k: int) -> "FieldElement":
-        return FieldElement(self, self._canon([k]))
 
     def elements(self) -> Iterator["FieldElement"]:
         for i in range(self.order):
@@ -441,13 +464,6 @@ class ExtensionField(FieldSpec):
     def _format(self, a) -> str:
         return _gf_poly_str(_gf_trim(list(a)))
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField)
-                and other.p == self.p and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("ext", self.p, self.modulus))
-
     def __repr__(self):
         return f"F{self.order}:modulus={_gf_poly_str(self.modulus)}"
 
@@ -471,9 +487,6 @@ class Rationals(FieldSpec):
     def element(self, value) -> "FieldElement":
         return FieldElement(self, Fraction(value))
 
-    def from_int(self, k: int) -> "FieldElement":
-        return FieldElement(self, Fraction(k))
-
     def _add(self, a, b):
         return a + b
 
@@ -494,12 +507,6 @@ class Rationals(FieldSpec):
     def _format(self, a) -> str:
         return str(a)
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rationals")
-
     def __repr__(self):
         return "Q"
 
@@ -511,15 +518,6 @@ class _SymbolicTag(FieldSpec):
     def element(self, value):
         raise SymbolicFieldError(
             f"{self._name} is a verdict-only tag and carries no elements")
-
-    def from_int(self, k):
-        return self.element(k)
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(self._name)
 
     def __repr__(self):
         return self._name
@@ -544,6 +542,16 @@ ACF = AlgClosedTag()
 RCF = RealClosedTag()
 
 
+def _power(base, result, e: int):
+    """result * base^e by repeated squaring; result is the ring's one."""
+    while e > 0:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
 class FieldElement:
     """Immutable element of a concrete field, in canonical form."""
 
@@ -563,7 +571,7 @@ class FieldElement:
                     f"mixed fields: {self.spec} and {other.spec}")
             return other
         if isinstance(other, int):
-            return self.spec.from_int(other)
+            return self.spec.element(other)
         if isinstance(other, Fraction) and isinstance(self.spec, Rationals):
             return self.spec.element(other)
         return None
@@ -617,14 +625,7 @@ class FieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, self.spec.one(), e)
 
     def is_zero(self) -> bool:
         return self == self.spec.zero()

@@ -18,7 +18,7 @@ from ..errors import (
     SpecMismatchError,
     ZeroPolynomialError,
 )
-from ..fields import FieldElement, FieldSpec, Rationals
+from ..fields import FieldElement, FieldSpec, Rationals, _power
 
 
 class UniPoly:
@@ -188,7 +188,7 @@ class UniPoly:
         """Formal derivative; characteristic-p cancellation applies."""
         return UniPoly(
             self.spec,
-            [self.spec.from_int(i) * self.coeffs[i] for i in range(1, len(self.coeffs))],
+            [self.spec.element(i) * self.coeffs[i] for i in range(1, len(self.coeffs))],
         )
 
     def compose_shift(self, b: FieldElement) -> "UniPoly":
@@ -225,16 +225,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.spec}, {self})"
-
-
-def _power(base, result, e: int):
-    """result * base^e by repeated squaring; result is the ring's one."""
-    while e > 0:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
 
 
 def _term_str(c: FieldElement, body: str) -> str:

@@ -196,6 +196,13 @@ def test_cli_simpleroots_and_permcheck_payloads(capsys):
     assert report["extra"] == {"hermite": True, "exhaustive": True}
 
 
+def test_cli_simpleroots_over_a_tag_needs_a_concrete_field(capsys):
+    for tag in ("ACF", "RCF"):
+        code, _, err = _run(capsys, ["simpleroots", "--poly", "x^2", "--field", tag])
+        assert code == 64
+        assert err == "error: simple-roots check needs a concrete field\n"
+
+
 def test_cli_seed_flag_and_env(capsys, monkeypatch):
     argv = ["matrix", "--poly", "x^4+2*x", "--field", "Q", "--n", "3"]
     _, r1, _ = _run_json(capsys, argv + ["--seed", "5"])

@@ -127,6 +127,22 @@ def test_tuple_search_shrinks_to_cap():
     assert f.eval(w.lhs) == f.eval(w.rhs)
 
 
+def test_tuple_search_builds_its_grid_once(monkeypatch):
+    import evainject.engine as engine
+
+    calls = []
+    monkeypatch.setattr(engine, "rational_grid",
+                        lambda h: calls.append(h) or rational_grid(h))
+    f = MultiPoly.from_ints(QQ, 2, {(2, 0): 1, (0, 2): 1})
+    for height, cap in ((20, 1000), (3, 10 ** 6)):
+        calls.clear()
+        w, used = search_tuple_collisions(f, height, cap=cap)
+        assert calls == [height]
+        assert used == max(h for h in range(1, height + 1)
+                           if h == 1 or len(rational_grid(h)) ** 2 <= cap)
+        assert f.eval(w.lhs) == f.eval(w.rhs)
+
+
 def test_monotonicity_violation_quartic():
     triple = monotonicity_violation(GOLDEN, 10)
     assert triple is not None

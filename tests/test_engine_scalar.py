@@ -198,8 +198,11 @@ def test_simple_roots_examples():
 def test_simple_roots_validation():
     with pytest.raises(ConstantPolynomialError):
         simple_roots_condition(U(QQ, [3]))
-    with pytest.raises(SpecMismatchError):
-        simple_roots_condition(U(QQ, [0, 1, 1]), ACF)
+    for tag in (ACF, RCF):
+        with pytest.raises(SpecMismatchError, match="needs a concrete field"):
+            simple_roots_condition(U(QQ, [0, 1, 1]), tag)
+    with pytest.raises(SpecMismatchError, match="must match the coefficient field"):
+        simple_roots_condition(U(QQ, [0, 1, 1]), F5)
 
 
 def test_oracle_agreement_small_fields():

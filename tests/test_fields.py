@@ -8,8 +8,12 @@ from evainject import (
     ACF,
     QQ,
     RCF,
+    AlgClosedTag,
     ExtensionField,
     PrimeField,
+    Rationals,
+    RealClosedTag,
+    UniPoly,
     two_adic_valuation,
 )
 from evainject.errors import (
@@ -47,7 +51,7 @@ def test_tags_carry_no_elements():
         with pytest.raises(SymbolicFieldError):
             tag.element(1)
         with pytest.raises(SymbolicFieldError):
-            tag.from_int(0)
+            tag.zero()
         with pytest.raises(InfiniteFieldError):
             list(tag.elements())
 
@@ -80,6 +84,54 @@ def test_spec_mismatch_raises():
         F5.element(1) + F7.element(1)
     with pytest.raises(SpecMismatchError):
         F5.element(1) * QQ.element(1)
+
+
+def test_one_object_per_field():
+    assert PrimeField(5) is F5
+    assert ExtensionField(3, [1, 0, 1]) is F9
+    assert ExtensionField(5, [7, 0, 6]) is ExtensionField(5, [2, 0, 1])  # reduced mod 5
+    assert ExtensionField(2, [1, 1, 1, 0]) is F4  # trailing zero trimmed
+    assert ExtensionField.from_order(4) is F4
+    assert Rationals() is QQ and AlgClosedTag() is ACF and RealClosedTag() is RCF
+    distinct = [F2, F3, F5, F7, F4, F9, ExtensionField(2, [1, 1, 0, 1]),
+                ExtensionField(2, [1, 0, 1, 1]), QQ, ACF, RCF]
+    assert len({id(s) for s in distinct}) == len(distinct)
+    assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
+    names = {spec: str(spec) for spec in distinct}
+    assert names[PrimeField(7)] == "F7"
+    assert names[ExtensionField(3, [4, 3, 1])] == str(F9)
+    assert names[Rationals()] == "Q"
+
+
+def test_finite_field_element_takes_only_ints():
+    for bad in (Fraction(1, 2), 2.7, "2"):
+        with pytest.raises(SpecMismatchError):
+            F5.element(bad)
+        with pytest.raises(SpecMismatchError):
+            F9.element([bad, 0])
+    with pytest.raises(SpecMismatchError):
+        F9.element(Fraction(1, 2))
+    with pytest.raises(SpecMismatchError):
+        UniPoly.from_ints(F5, [Fraction(1, 2), 1])
+    assert F5.element(-7) == F5.element(3)
+    assert F9.element((4, 5)) == F9.element([1, 2])
+
+
+def test_elements_mix_with_plain_numbers():
+    for spec in (F7, F9, QQ):
+        a = spec.element(2)
+        assert a + 1 == 1 + a == spec.element(3)
+        assert 3 - a == spec.one()
+        assert (1 / a) * a == spec.one() and 1 / a == a.inv()
+        assert a == 2 and a != 3
+        assert not bool(spec.zero()) and bool(a)
+        assert a ** -2 == a.inv() ** 2
+        with pytest.raises(DivisionByZeroError):
+            spec.zero() ** -1
+    q = QQ.element(Fraction(2, 3))
+    assert Fraction(1, 2) * q == q * Fraction(1, 2) == QQ.element(Fraction(1, 3))
+    assert q == Fraction(2, 3)
+    assert F7.element(4) != Fraction(4)  # a Fraction is no element of F7
 
 
 def test_division_by_zero():

@@ -5,20 +5,24 @@ code, stderr and JSON report (timing_ms removed) that the CLI produced
 when the corpus was recorded; cases that ask for text output store stdout
 without its time: line instead of the report.  Every report must also
 conform to the shipped report_schema.json.  A refactor must reproduce
-every record exactly; a change in behaviour re-records the corpus on
-purpose with
+every record exactly; a change in behaviour re-records the cases it
+changes on purpose, each named by its argv joined by spaces, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py "simpleroots --poly x^2 --field ACF"
 
-and says so in CHANGES.md.
+and says so in CHANGES.md.  That re-records the named cases and every CASES
+entry the corpus does not hold yet.  It writes nothing, and names the
+cases, when any other record differs from a fresh run.
 """
 import contextlib
 import io
 import json
 import os
 import pathlib
+import sys
 
 import jsonschema
+import pytest
 
 from evainject.cli import main, report_schema
 
@@ -145,7 +149,45 @@ def test_golden_corpus_replays_exactly(monkeypatch):
     assert not changed, f"reports differ from the corpus for {changed}"
 
 
+def rerecord(names):
+    """Write the corpus afresh for CASES, allowing changes only in the cases
+    named (argv joined by spaces) and in cases the corpus lacks."""
+    keys = {" ".join(argv) for argv in CASES}
+    unknown = [name for name in names if name not in keys]
+    if unknown:
+        raise SystemExit(f"not in CASES: {unknown}")
+    records = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
+    old = {" ".join(r["argv"]): _canonical(r) for r in records}
+    fresh = {" ".join(argv): run_case(argv) for argv in CASES}
+    drifted = [key for key, r in fresh.items()
+               if key in old and key not in names and _canonical(r) != old[key]]
+    if drifted:
+        raise SystemExit(f"not written: records not named differ from a fresh run: {drifted}")
+    CORPUS.write_text(json.dumps(list(fresh.values()), indent=1, sort_keys=True) + "\n")
+
+
+def test_rerecord_writes_only_named_changes(tmp_path, monkeypatch):
+    monkeypatch.delenv("EVA_INJECT_SEED", raising=False)
+    tool = sys.modules[__name__]  # rerecord reads CASES and CORPUS from here
+    cases = [["analyze", "--poly", "x^3", "--field", "F7"],
+             ["analyze", "--poly", "x^3", "--field", "F5"]]
+    monkeypatch.setattr(tool, "CASES", cases)
+    monkeypatch.setattr(tool, "CORPUS", tmp_path / "reports.json")
+    tool.rerecord([])  # an empty corpus: both cases are new
+    good = tool.CORPUS.read_text()
+    records = json.loads(good)
+    records[1]["stderr"] = "stale"
+    stale = json.dumps(records)
+    tool.CORPUS.write_text(stale)
+    with pytest.raises(SystemExit, match="analyze --poly x\\^3 --field F5"):
+        tool.rerecord([])
+    assert tool.CORPUS.read_text() == stale
+    with pytest.raises(SystemExit, match="not in CASES"):
+        tool.rerecord(["analyze --poly x^3 --field F3"])
+    tool.rerecord(["analyze --poly x^3 --field F5"])
+    assert tool.CORPUS.read_text() == good
+
+
 if __name__ == "__main__":
     os.environ.pop("EVA_INJECT_SEED", None)
-    CORPUS.write_text(json.dumps([run_case(argv) for argv in CASES], indent=1,
-                                 sort_keys=True) + "\n")
+    rerecord(sys.argv[1:])
