@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     AlgebraError,
@@ -265,7 +265,8 @@ def verify_witness(f, lhs, rhs) -> Witness:
     return Witness(lhs, rhs, left)
 
 
-def _first_collision(f, points: Iterable) -> Witness | None:
+def _first_collision(f, points: Iterable, image=None,
+                     box=lambda point: point) -> Witness | None:
     """The first collision of f along points, re-checked by verify_witness.
 
     This is the one scan behind every reported collision.  Points are
@@ -280,12 +281,17 @@ def _first_collision(f, points: Iterable) -> Witness | None:
       coordinate changing fastest;
     * n x n matrices: itertools.product over the entry list, row-major,
       the last entry changing fastest (_all_matrices).
+
+    A scan may compare image(point), a hashable key equal exactly when the
+    values of f are, in place of f's boxed value; the rational scans key
+    plain ints by the reduced integer pair of f's value.  Only the two
+    witness points are then boxed, and verify_witness re-checks them.
     """
     seen = {}
     for point in points:
-        value = _evaluate(f, point)
+        value = _evaluate(f, point) if image is None else image(point)
         if value in seen:
-            return verify_witness(f, seen[value], point)
+            return verify_witness(f, box(seen[value]), box(point))
         seen[value] = point
     return None
 
@@ -305,20 +311,41 @@ def verify_verdict(f, lhs, rhs) -> Verdict:
 # Rational search grids
 # ---------------------------------------------------------------------------
 
+def _grid_pairs(height: int) -> Iterator[tuple[int, int]]:
+    """rational_grid(height) as (num, den) int pairs, in its order, lazily."""
+    if height < 1:
+        raise AlgebraError("search height must be at least 1")
+    return ((num, den) for den in range(1, height + 1)
+            for num in range(-height * den, height * den + 1)
+            if math.gcd(num, den) == 1)
+
+
 def rational_grid(height: int) -> list[Fraction]:
     """Reduced fractions a/b with 1 <= b <= height and |a/b| <= height.
 
     Ordered by (denominator, numerator); this order fixes which collision
     a search reports.
     """
-    if height < 1:
-        raise AlgebraError("search height must be at least 1")
-    out = []
-    for den in range(1, height + 1):
-        for num in range(-height * den, height * den + 1):
-            if math.gcd(abs(num), den) == 1:
-                out.append(Fraction(num, den))
-    return out
+    return [Fraction(num, den) for num, den in _grid_pairs(height)]
+
+
+def _rational_image(f: UniPoly):
+    """The key of f(a/b) for the int pair (a, b): with f = P/D, P in Z[x] and
+    d = deg f, the reduced pair of N / (D*b^d), N = sum P_i a^i b^(d-i) by
+    homogenized Horner."""
+    lcm = math.lcm(*(c.value.denominator for c in f.coeffs))
+    lead, *rest = [int(c.value * lcm) for c in reversed(f.coeffs)] or [0]
+
+    def image(point: tuple[int, int]) -> tuple[int, int]:
+        a, b = point
+        num, b_power = lead, 1
+        for c in rest:
+            b_power *= b
+            num = num * a + c * b_power
+        den = lcm * b_power
+        g = math.gcd(num, den)
+        return num // g, den // g
+    return image
 
 
 def _search_spec(f) -> Rationals:
@@ -333,8 +360,9 @@ def search_rational_collisions(f: UniPoly, height: int) -> Witness | None:
 
     Returns the first verified collision in grid order, or None.
     """
-    spec = _search_spec(f)
-    return _first_collision(f, (spec.element(r) for r in rational_grid(height)))
+    _search_spec(f)
+    return _first_collision(f, _grid_pairs(height), _rational_image(f),
+                            lambda point: QQ.element(Fraction(*point)))
 
 
 def search_matrix_collisions(f: UniPoly, n: int, height: int,
@@ -375,17 +403,38 @@ def search_tuple_collisions(f: MultiPoly, height: int,
 
     Returns (witness or None, effective height used).
     """
-    spec = _search_spec(f)
+    _search_spec(f)
     h = max(height, 1)
     points = rational_grid(h)
     while h > 1 and len(points) ** f.m > cap:
         h -= 1
         points = [r for r in points if r.denominator <= h and abs(r) <= h]
-    grid = [spec.element(r) for r in points]
-    if len(grid) ** f.m > cap:
+    if len(points) ** f.m > cap:
         raise EnumerationCapExceededError(
-            f"even height 1 yields {len(grid) ** f.m} points over the cap {cap}")
-    return _first_collision(f, itertools.product(grid, repeat=f.m)), h
+            f"even height 1 yields {len(points) ** f.m} points over the cap {cap}")
+    return _first_collision(
+        f, itertools.product(range(len(points)), repeat=f.m), _tuple_image(f, points),
+        lambda index: tuple(QQ.element(points[i]) for i in index)), h
+
+
+def _tuple_image(f: MultiPoly, points: list[Fraction]):
+    """The key of f at an index tuple into points: with d_i f's degree in
+    x_i, the reduced pair of sum D*c_e prod a_i^e_i b_i^(d_i-e_i) over
+    D prod b_i^d_i.  Each point's row a^k b^(d-k) is computed once."""
+    lcm = math.lcm(*(c.value.denominator for c in f.terms.values()))
+    terms = [(e, int(c.value * lcm)) for e, c in f.terms.items()]
+    degrees = [max((e[i] for e in f.terms), default=0) for i in range(f.m)]
+    rows = {d: [[r.numerator ** k * r.denominator ** (d - k) for k in range(d + 1)]
+                for r in points] for d in set(degrees)}
+    variable_rows = [rows[d] for d in degrees]
+
+    def image(index: tuple[int, ...]) -> tuple[int, int]:
+        point = [variable_rows[i][j] for i, j in enumerate(index)]
+        num = sum(c * math.prod(row[e] for row, e in zip(point, exps)) for exps, c in terms)
+        den = lcm * math.prod(row[0] for row in point)
+        g = math.gcd(num, den)
+        return num // g, den // g
+    return image
 
 
 def monotonicity_violation(f: UniPoly, height: int) -> tuple[Fraction, ...] | None:
@@ -394,8 +443,10 @@ def monotonicity_violation(f: UniPoly, height: int) -> tuple[Fraction, ...] | No
     Used to document a NecessaryConditionFails verdict when no exact
     collision exists at the search height.
     """
+    _search_spec(f)
     points = sorted(rational_grid(height))
-    values = [f.eval(f.spec.element(x)).value for x in points]
+    image = _rational_image(f)
+    values = [Fraction(*image((x.numerator, x.denominator))) for x in points]
     last_sign = 0
     last_start = 0
     for i in range(len(values) - 1):

@@ -258,6 +258,7 @@ class FieldSpec:
 
     is_finite = False
     is_symbolic = False
+    _zero = _one = None  # built on first use; the tags never build them
 
     def __new__(cls):
         """The one object of a field without parameters (Q, ACF, RCF)."""
@@ -278,10 +279,14 @@ class FieldSpec:
         raise NotImplementedError
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        if self._zero is None:
+            self._zero = self.element(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        if self._one is None:
+            self._one = self.element(1)
+        return self._one
 
     def elements(self) -> Iterator["FieldElement"]:
         """Yield every element once, in the canonical enumeration order."""
@@ -485,6 +490,9 @@ class Rationals(FieldSpec):
         return 0
 
     def element(self, value) -> "FieldElement":
+        """From an int, a Fraction or a string such as "-3/4"; never a float."""
+        if isinstance(value, float):
+            raise SpecMismatchError(f"elements of Q are built exactly, not from {value!r}")
         return FieldElement(self, Fraction(value))
 
     def _add(self, a, b):

@@ -87,6 +87,21 @@ def test_cli_rejects_huge_field_order_promptly(capsys):
     assert "exceeds the 2^31 cap" in capsys.readouterr().err
 
 
+def test_cli_rational_search_stops_at_first_collision_promptly(capsys):
+    # The height-2000 grid has billions of points; x^2 collides at (-1, 1)
+    # within its first 2,002, so the scan must not build the grid first.
+    result = {}
+    argv = ["search", "--poly", "x^2", "--field", "Q", "--height", "2000",
+            "--output", "json"]
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "the search did not answer within 2 s"
+    assert result["code"] == 1
+    witness = json.loads(capsys.readouterr().out)["verdict"]["witness"]
+    assert (witness["lhs"], witness["rhs"], witness["image"]) == ("-1", "1", "1")
+
+
 def test_parse_field_roundtrip():
     for s in ("Q", "F7", "F9:modulus=x^2+1", "ACF", "RCF"):
         assert str(parse_field(str(parse_field(s)))) == str(parse_field(s))

@@ -117,6 +117,23 @@ def test_finite_field_element_takes_only_ints():
     assert F9.element((4, 5)) == F9.element([1, 2])
 
 
+def test_rationals_refuse_floats():
+    for bad in (2.7, 0.5, float("nan")):
+        with pytest.raises(SpecMismatchError):
+            QQ.element(bad)
+    with pytest.raises(SpecMismatchError):
+        UniPoly.from_ints(QQ, [0.1, 1])
+    assert QQ.element("-3/4") == QQ.element(Fraction(-3, 4))
+    assert QQ.element(Fraction(6, 8)).value == Fraction(3, 4)
+    assert QQ.element(2).value == 2
+
+
+def test_zero_and_one_are_built_once():
+    for spec in ALL_CONCRETE:
+        assert spec.zero() is spec.zero() and spec.zero() == spec.element(0)
+        assert spec.one() is spec.one() and spec.one() == spec.element(1)
+
+
 def test_elements_mix_with_plain_numbers():
     for spec in (F7, F9, QQ):
         a = spec.element(2)

@@ -112,6 +112,17 @@ CASES = [
     ["matrix", "--poly", "x^3+x", "--field", "F3", "--n", "2", "--output", "text"],
     ["permcheck", "--poly", "x^2", "--field", "F5", "--output", "text"],
     ["simpleroots", "--poly", "x^3+x", "--field", "F5", "--output", "text"],
+    # rational grid scans: the integer kernel's edge cases
+    ["search", "--poly", "0", "--field", "Q", "--height", "2"],
+    ["search", "--poly", "7/3", "--field", "Q", "--height", "1"],
+    ["search", "--poly", "1/2*x^3-2/3*x", "--field", "Q", "--height", "6"],
+    ["search", "--poly", "x-3/4*x^4", "--field", "Q", "--height", "4"],
+    ["analyze", "--poly", "2/3*x^5-x^3+1/2*x", "--field", "RCF", "--height", "5"],
+    ["analyze", "--poly", "x^5-3/2*x^3+x", "--field", "Q", "--height", "5"],
+    ["analyze", "--poly", "x^4-1/2*x^2+1/3", "--field", "ACF", "--height", "4"],
+    ["analyze", "--poly", "1/2*x1^2-1/3*x2^3", "--field", "Q", "--vars", "2", "--height", "3"],
+    ["analyze", "--poly", "x1*x2*x3+1/2*x1", "--field", "Q", "--vars", "3", "--height", "1"],
+    ["analyze", "--poly", "x1-x1", "--field", "Q", "--vars", "2", "--height", "1"],
 ]
 
 
