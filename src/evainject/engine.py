@@ -21,17 +21,17 @@ Verdict semantics
 
 Dispatch by base field (scalar case): algebraically closed -> injective
 iff degree 1; finite -> injective iff permutation polynomial (Hermite test
-cross-checked by exhaustive scan at small q); the reals -> injective iff
-strictly monotone; Q -> bounded search only, never Injective for degree
-at least 2.
+cross-checked by the first-collision scan at small q); the reals ->
+injective iff strictly monotone; Q -> bounded search only, never Injective
+for degree at least 2.
 
 Evidence
 --------
 A verdict carries the intermediate result it was read from in its
 evidence field: the FactorProfile on every matrix_injectivity verdict, the
-PermutationCheck on permutation_verdict's, and the SimpleRootsReport on
-simple_roots_verdict's.  The scalar, multivariate, search and verify
-verdicts and the brute-force oracles carry none.
+PermutationCheck on permutation_verdict's, which scalar_injectivity returns
+over a finite field, and the SimpleRootsReport on simple_roots_verdict's.
+The other verdicts and the brute-force oracles carry none.
 
 Everything is a pure function of its inputs, the seed, and the bounds;
 enumerations report the first collision in a documented scan order, so
@@ -200,6 +200,9 @@ class Verdict:
 
 @dataclass(frozen=True)
 class PermutationCheck:
+    """Whether f permutes F_q: hermite, the degree-reduction test, decides;
+    exhaustive is the first-collision scan's answer, or None above the cap."""
+
     is_permutation: bool
     hermite: bool
     exhaustive: bool | None
@@ -329,6 +332,12 @@ def rational_grid(height: int) -> list[Fraction]:
     return [Fraction(num, den) for num, den in _grid_pairs(height)]
 
 
+def _grid_size(height: int) -> int:
+    """len(rational_grid(height)), 1 + 2*height*(phi(1) + ... + phi(height)), unbuilt."""
+    return 1 + 2 * height * sum(math.gcd(a, b) == 1 for b in range(1, height + 1)
+                                for a in range(1, b + 1))
+
+
 def _rational_image(f: UniPoly):
     """The key of f(a/b) for the int pair (a, b): with f = P/D, P in Z[x] and
     d = deg f, the reduced pair of N / (D*b^d), N = sum P_i a^i b^(d-i) by
@@ -370,14 +379,14 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     """Scan n x n matrices with grid entries for f(A) = f(B), A != B.
 
     The grid has len(rational_grid(height)) ** (n * n) points; exceeding
-    the cap raises rather than running for hours.
+    the cap raises before any grid point is built.
     """
     spec = _search_spec(f)
-    grid = [spec.element(r) for r in rational_grid(height)]
-    total = len(grid) ** (n * n)
+    total = _grid_size(height) ** (n * n)
     if total > cap:
         raise EnumerationCapExceededError(
             f"{total} candidate matrices exceed the cap {cap}; lower the height")
+    grid = [spec.element(r) for r in rational_grid(height)]
     return _first_collision(f, _all_matrices(f.spec, n, grid))
 
 
@@ -399,19 +408,19 @@ def search_verdict(f: UniPoly, n: int | None,
 def search_tuple_collisions(f: MultiPoly, height: int,
                             cap: int = DEFAULT_BOUNDS.matrix_cap
                             ) -> tuple[Witness | None, int]:
-    """Bounded collision search on Q^m; shrinks the height to fit the cap.
+    """Bounded collision search on Q^m at the largest height <= height whose
+    grid has at most cap m-tuples, counted up from 1 before any grid is built.
 
     Returns (witness or None, effective height used).
     """
     _search_spec(f)
-    h = max(height, 1)
-    points = rational_grid(h)
-    while h > 1 and len(points) ** f.m > cap:
-        h -= 1
-        points = [r for r in points if r.denominator <= h and abs(r) <= h]
-    if len(points) ** f.m > cap:
+    h = 1
+    while h < height and _grid_size(h + 1) ** f.m <= cap:
+        h += 1
+    if _grid_size(h) ** f.m > cap:
         raise EnumerationCapExceededError(
-            f"even height 1 yields {len(points) ** f.m} points over the cap {cap}")
+            f"even height 1 yields {_grid_size(h) ** f.m} points over the cap {cap}")
+    points = rational_grid(h)
     return _first_collision(
         f, itertools.product(range(len(points)), repeat=f.m), _tuple_image(f, points),
         lambda index: tuple(QQ.element(points[i]) for i in index)), h
@@ -524,7 +533,7 @@ def _hermite_is_permutation(f: UniPoly) -> bool:
 
 def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_cap
                       ) -> PermutationCheck:
-    """Run the degree-reduction test, cross-checked by exhaustive image scan.
+    """Run the degree-reduction test, cross-checked by the first-collision scan.
 
     The scan runs when q <= cross_check_cap; a disagreement between the
     two methods is an implementation bug and raises loudly.
@@ -532,11 +541,10 @@ def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_c
     spec = f.spec
     if not spec.is_finite:
         raise SpecMismatchError("permutation polynomials live over finite fields")
-    q = spec.order
     hermite = _hermite_is_permutation(f)
     exhaustive = None
-    if q <= cross_check_cap:
-        exhaustive = len({f.eval(a) for a in spec.elements()}) == q
+    if spec.order <= cross_check_cap:
+        exhaustive = _first_collision(f, spec.elements()) is None
         if exhaustive != hermite:
             raise InconsistentMethodsError(
                 f"degree-reduction test says {hermite}, exhaustive scan says "
@@ -630,16 +638,7 @@ def scalar_injectivity(f: UniPoly, spec: FieldSpec | None = None,
                        "algebra over the field")
 
     if spec.is_finite:
-        check = permutation_check(f, cross_check_cap=bounds.scalar_cap)
-        if check.is_permutation:
-            method = ("degree-reduction test, confirmed by exhaustive scan"
-                      if check.exhaustive is not None else "degree-reduction test")
-            return Verdict(Status.INJECTIVE, Reason.PERMUTATION_POLYNOMIAL,
-                           f"f permutes the {spec.order} field elements ({method})")
-        w = first_scalar_collision(f)
-        return Verdict(Status.NOT_INJECTIVE, Reason.NOT_PERMUTATION,
-                       "f is not a permutation of the field; first collision "
-                       "in enumeration order", w)
+        return permutation_verdict(f, bounds)
 
     if isinstance(spec, RealClosedTag):
         if is_strictly_monotone(f):

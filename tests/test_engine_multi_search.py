@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from evainject import (
     search_tuple_collisions,
     verify_witness,
 )
+from evainject.engine import _grid_size
 from evainject.errors import ArityMismatchError, EnumerationCapExceededError
 
 F2 = PrimeField(2)
@@ -112,6 +114,35 @@ def test_matrix_search_cap():
         search_matrix_collisions(GOLDEN, 2, 20)
 
 
+def _within(seconds, call):
+    """call()'s result or exception, asserting it arrives within seconds."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = call()
+        except Exception as e:  # handed back to the test
+            result["error"] = e
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"no answer within {seconds} s"
+    return result
+
+
+def test_matrix_search_refuses_over_cap_before_building_its_grid():
+    # the height-120 grid has about a million points; the cap check must
+    # come from its size, not from boxing it first
+    result = _within(1, lambda: search_matrix_collisions(U(QQ, [0, 0, 1]), 2, 120))
+    assert isinstance(result.get("error"), EnumerationCapExceededError)
+    assert f"{_grid_size(120) ** 4} candidate matrices" in str(result["error"])
+
+
+def test_grid_size_rule():
+    for h in range(1, 31):
+        assert _grid_size(h) == len(rational_grid(h))
+
+
 def test_golden_pair_verifies():
     a = Matrix.from_rows(QQ, [["0", "1/2"], ["1", "-1"]])
     b = Matrix.from_rows(QQ, [["0", "-3/2"], ["1", "1"]])
@@ -137,10 +168,21 @@ def test_tuple_search_builds_its_grid_once(monkeypatch):
     for height, cap in ((20, 1000), (3, 10 ** 6)):
         calls.clear()
         w, used = search_tuple_collisions(f, height, cap=cap)
-        assert calls == [height]
+        assert calls == [used]
         assert used == max(h for h in range(1, height + 1)
                            if h == 1 or len(rational_grid(h)) ** 2 <= cap)
         assert f.eval(w.lhs) == f.eval(w.rhs)
+
+
+def test_tuple_search_height_follows_the_cap_promptly():
+    # the height is worked out from grid sizes counted up from 1, so a
+    # large requested height costs no more than the height the cap allows
+    for f in (MultiPoly.from_ints(QQ, 2, {(1, 0): 1, (0, 1): 1000003}),
+              MultiPoly.from_ints(QQ, 2, {(2, 0): 1, (0, 2): 1})):
+        result = _within(1, lambda: search_tuple_collisions(f, 100, cap=10_000))
+        w, used = result["value"]
+        assert used < 100
+        assert (w, used) == search_tuple_collisions(f, used, cap=10_000)
 
 
 def test_monotonicity_violation_quartic():

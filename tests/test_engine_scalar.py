@@ -19,6 +19,7 @@ from evainject import (
     simple_roots_condition,
     verify_witness,
 )
+from evainject.engine import permutation_verdict
 from evainject.errors import (
     ConstantPolynomialError,
     EnumerationCapExceededError,
@@ -172,6 +173,31 @@ def test_permutation_check_hermite_only_above_cap():
     check = permutation_check(U(F7, [0, 0, 0, 0, 0, 1]), cross_check_cap=5)
     assert check.exhaustive is None
     assert check.is_permutation == check.hermite == True  # gcd(5, 6) = 1
+
+
+def test_finite_field_scalar_verdict_is_permutation_verdict():
+    # analyze and permcheck share one decision over F_q: status, reason,
+    # detail, witness and the PermutationCheck evidence all agree
+    rng = random.Random(1907)
+    F9 = ExtensionField(3, [1, 0, 1])
+    F16 = ExtensionField(2, [1, 1, 0, 0, 1])
+    F49 = ExtensionField(7, [1, 0, 1])
+    F53 = PrimeField(53)
+    cases = [f for spec in (F2, F3, F4, F5) for f in all_polys(spec, 3) if f.degree >= 2]
+    for spec, k in ((F9, 3), (F16, 7), (F49, 5)):  # gcd(k, q - 1) = 1: x^k permutes
+        cases.append(UniPoly.x(spec) ** k)
+        for _ in range(6):
+            coeffs = [spec.element_from_index(rng.randrange(spec.order))
+                      for _ in range(rng.randint(2, 4))]
+            cases.append(UniPoly(spec, coeffs + [spec.element_from_index(
+                rng.randrange(1, spec.order))]))
+    cases += [U(F53, [1, 0, 0, 1]), U(F53, [0, 0, 1])]  # above scalar_cap
+    bounds = Bounds()
+    for f in cases:
+        v = scalar_injectivity(f, f.spec, bounds)
+        assert v == permutation_verdict(f, bounds)
+        assert v.evidence.is_permutation == (v.status is Status.INJECTIVE)
+        assert (v.evidence.exhaustive is None) == (f.spec.order > bounds.scalar_cap)
 
 
 def test_frobenius_is_permutation_but_fails_simple_roots():
