@@ -9,7 +9,6 @@ instances.  See the README for the verdict semantics and the CLI.
 
 from .engine import (
     DEFAULT_BOUNDS,
-    DEFAULT_SEED,
     BezoutCertificate,
     Bounds,
     PermutationCheck,

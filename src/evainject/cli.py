@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -357,9 +356,9 @@ def _evidence_to_json(evidence):
 
 def build_report(command: str, verdict: engine.Verdict, *, poly, field: FieldSpec,
                  n: int | None, nvars: int | None, lhs=None, rhs=None,
-                 bounds: Bounds, seed: int, timing_ms: int) -> dict:
+                 bounds: Bounds, timing_ms: int) -> dict:
     return {
-        "schema_version": "1",
+        "schema_version": "2",
         "command": command,
         "inputs": {
             "poly": str(poly),
@@ -373,7 +372,6 @@ def build_report(command: str, verdict: engine.Verdict, *, poly, field: FieldSpe
             "height": bounds.height,
             "scalar_cap": bounds.scalar_cap,
             "matrix_cap": bounds.matrix_cap,
-            "seed": seed,
         },
         "verdict": {
             "status": verdict.status.value,
@@ -414,7 +412,7 @@ def _render_text(report: dict) -> str:
         lines.append("extra: " + json.dumps(report["extra"], sort_keys=True))
     b = report["bounds"]
     lines.append(f"bounds: height={b['height']} scalar_cap={b['scalar_cap']} "
-                 f"matrix_cap={b['matrix_cap']} seed={b['seed']}")
+                 f"matrix_cap={b['matrix_cap']}")
     lines.append(f"time: {report['timing_ms']} ms")
     return "\n".join(lines)
 
@@ -449,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", required=True,
                         help="Q | Fp | Fq:modulus=<poly> | ACF | RCF | R")
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized factorization internals "
-                             "(default: EVA_INJECT_SEED or a fixed constant)")
     common.add_argument("--height", type=int, default=Bounds.height,
                         help="rational search bound on denominators and magnitude")
     common.add_argument("--scalar-cap", type=int, default=Bounds.scalar_cap,
@@ -494,18 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EVA_INJECT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"EVA_INJECT_SEED={env!r} is not an integer") from None
-    return engine.DEFAULT_SEED
-
-
 def _dispatch(args) -> dict:
     spec = parse_field(args.field)
     cspec = engine.coefficient_spec(spec)
@@ -519,7 +502,6 @@ def _dispatch(args) -> dict:
     poly = parse_poly(args.poly, cspec, nvars if nvars and nvars >= 2 else None)
     bounds = Bounds(height=args.height, scalar_cap=args.scalar_cap,
                     matrix_cap=args.matrix_cap)
-    seed = _resolve_seed(args)
     n = getattr(args, "n", None)
     lhs = rhs = None
     if args.verb == "verify":
@@ -533,7 +515,7 @@ def _dispatch(args) -> dict:
         else:
             verdict = engine.scalar_injectivity(poly, spec, bounds)
     elif args.verb == "matrix":
-        verdict = engine.matrix_injectivity(poly, n, spec, seed)
+        verdict = engine.matrix_injectivity(poly, n, spec)
     elif args.verb == "permcheck":
         verdict = engine.permutation_verdict(poly, bounds)
     elif args.verb == "simpleroots":
@@ -552,8 +534,7 @@ def _dispatch(args) -> dict:
     timing_ms = int((time.perf_counter() - start) * 1000)
 
     return build_report(args.verb, verdict, poly=poly, field=spec, n=n,
-                        nvars=nvars, lhs=lhs, rhs=rhs, bounds=bounds, seed=seed,
-                        timing_ms=timing_ms)
+                        nvars=nvars, lhs=lhs, rhs=rhs, bounds=bounds, timing_ms=timing_ms)
 
 
 def main(argv=None) -> int:

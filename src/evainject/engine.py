@@ -33,7 +33,7 @@ PermutationCheck on permutation_verdict's, which scalar_injectivity returns
 over a finite field, and the SimpleRootsReport on simple_roots_verdict's.
 The other verdicts and the brute-force oracles carry none.
 
-Everything is a pure function of its inputs, the seed, and the bounds;
+Everything is a pure function of its inputs and the bounds;
 enumerations report the first collision in a documented scan order, so
 witnesses are reproducible.
 """
@@ -84,12 +84,10 @@ from .polynomials import (
     rational_roots,
 )
 from .polynomials.core import root_multiplicity
-from .polynomials.factor import DEFAULT_SEED
 
 __all__ = [
     "Bounds",
     "DEFAULT_BOUNDS",
-    "DEFAULT_SEED",
     "Status",
     "Reason",
     "Witness",
@@ -99,7 +97,6 @@ __all__ = [
     "BezoutCertificate",
     "verify_witness",
     "coefficient_spec",
-    "first_scalar_collision",
     "scalar_injectivity",
     "permutation_check",
     "simple_roots_condition",
@@ -201,11 +198,16 @@ class Verdict:
 @dataclass(frozen=True)
 class PermutationCheck:
     """Whether f permutes F_q: hermite, the degree-reduction test, decides;
-    exhaustive is the first-collision scan's answer, or None above the cap."""
+    exhaustive is the first-collision scan's answer, or None above the cap,
+    and collision is that scan's verified first collision, if any."""
 
-    is_permutation: bool
     hermite: bool
     exhaustive: bool | None
+    collision: Witness | None
+
+    @property
+    def is_permutation(self) -> bool:
+        return self.hermite
 
 
 @dataclass(frozen=True)
@@ -488,13 +490,6 @@ def _check_pairing(f, spec: FieldSpec):
             "symbolic tags take rational coefficients")
 
 
-def first_scalar_collision(f: UniPoly) -> Witness:
-    w = _first_collision(f, f.spec.elements())
-    if w is None:
-        raise InternalInvariantError("no collision found in a full scan")
-    return w
-
-
 def _reduce_mod_field_poly(f: UniPoly) -> UniPoly:
     """Reduce modulo x^q - x by folding exponents e >= q to ((e-1) mod (q-1)) + 1."""
     spec = f.spec
@@ -535,21 +530,24 @@ def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_c
                       ) -> PermutationCheck:
     """Run the degree-reduction test, cross-checked by the first-collision scan.
 
-    The scan runs when q <= cross_check_cap; a disagreement between the
-    two methods is an implementation bug and raises loudly.
+    The scan runs once, when q <= cross_check_cap or when the test says f
+    is not a permutation, so a non-permutation always carries its first
+    collision; a disagreement between the two methods is an implementation
+    bug and raises loudly.
     """
     spec = f.spec
     if not spec.is_finite:
         raise SpecMismatchError("permutation polynomials live over finite fields")
     hermite = _hermite_is_permutation(f)
-    exhaustive = None
-    if spec.order <= cross_check_cap:
-        exhaustive = _first_collision(f, spec.elements()) is None
-        if exhaustive != hermite:
+    cross_check = spec.order <= cross_check_cap
+    collision = None
+    if cross_check or not hermite:
+        collision = _first_collision(f, spec.elements())
+        if (collision is None) != hermite:
             raise InconsistentMethodsError(
                 f"degree-reduction test says {hermite}, exhaustive scan says "
-                f"{exhaustive} for {f} over {spec}")
-    return PermutationCheck(hermite, hermite, exhaustive)
+                f"{collision is None} for {f} over {spec}")
+    return PermutationCheck(hermite, hermite if cross_check else None, collision)
 
 
 def permutation_verdict(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
@@ -560,8 +558,7 @@ def permutation_verdict(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
                        f"f permutes the {f.spec.order} elements of {f.spec}",
                        evidence=check)
     return Verdict(Status.NOT_INJECTIVE, Reason.NOT_PERMUTATION,
-                   "f is not a permutation polynomial", first_scalar_collision(f),
-                   check)
+                   "f is not a permutation polynomial", check.collision, check)
 
 
 def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleRootsReport:
@@ -711,8 +708,7 @@ def scalar_injectivity(f: UniPoly, spec: FieldSpec | None = None,
 # Matrix algebra decisions
 # ---------------------------------------------------------------------------
 
-def matrix_injectivity(f: UniPoly, n: int, spec: FieldSpec | None = None,
-                       seed: int = DEFAULT_SEED) -> Verdict:
+def matrix_injectivity(f: UniPoly, n: int, spec: FieldSpec | None = None) -> Verdict:
     """Decide injectivity of A -> f(A) on the n x n matrices over F.
 
     Writes f = c + x^m * h with h(0) != 0 and d the least degree among the
@@ -728,7 +724,7 @@ def matrix_injectivity(f: UniPoly, n: int, spec: FieldSpec | None = None,
                                      "scalar analysis for n = 1")
     if f.degree < 1:
         raise ConstantPolynomialError("matrix analysis needs degree >= 1")
-    profile = factor_profile(f, seed)
+    profile = factor_profile(f)
     if f.degree == 1:
         return Verdict(Status.INJECTIVE, Reason.DEGREE_ONE,
                        "an affine map a*x+b with a != 0 is injective on any "
@@ -770,8 +766,7 @@ def matrix_injectivity(f: UniPoly, n: int, spec: FieldSpec | None = None,
         "undecided", evidence=profile)
 
 
-def bezout_noncollision_certificate(f: UniPoly, a: Matrix,
-                                    seed: int = DEFAULT_SEED) -> BezoutCertificate:
+def bezout_noncollision_certificate(f: UniPoly, a: Matrix) -> BezoutCertificate:
     """Certificate that f(A) != f(0) * I for a nonzero A in the n < d case.
 
     Computes u, v with u * m_A + v * g = 1 (g = f - f(0)) and checks the
@@ -782,7 +777,7 @@ def bezout_noncollision_certificate(f: UniPoly, a: Matrix,
     """
     if a.is_zero():
         raise AlgebraError("the certificate concerns nonzero matrices")
-    profile = factor_profile(f, seed)
+    profile = factor_profile(f)
     if profile.m_mult >= 2 or profile.d is None or profile.d <= a.n:
         raise AlgebraError("the certificate applies only to profiles with n < d")
     spec = f.spec

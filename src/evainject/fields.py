@@ -145,16 +145,6 @@ def _gf_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], l
     return _gf_trim(q), r
 
 
-def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
 def _gf_xgcd(a: Sequence[int], b: Sequence[int], p: int):
     """Return (g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = list(a), list(b)
@@ -206,7 +196,7 @@ def _gf_is_irreducible(m: Sequence[int], p: int) -> bool:
     x = [0, 1]
     for ell in _prime_divisors(k):
         h = _gf_sub(_gf_powmod(x, p ** (k // ell), m, p), x, p)
-        if len(_gf_gcd(h, m, p)) != 1:
+        if len(_gf_xgcd(h, m, p)[0]) != 1:
             return False
     return _gf_sub(_gf_powmod(x, p ** k, m, p), x, p) == []
 

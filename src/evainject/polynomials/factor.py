@@ -2,9 +2,9 @@
 
 Finite fields: squarefree decomposition (with the characteristic-p root
 extraction step when the derivative vanishes), then distinct-degree
-splitting, then randomized equal-degree splitting.  The random generator is
-seeded, so runs are reproducible, and the factor list is sorted into a
-canonical order, so the output does not depend on the random path at all.
+splitting, then randomized equal-degree splitting.  The factor list is
+sorted into a canonical order, so the output does not depend on the random
+path at all.
 
 Rationals: Yun squarefree decomposition, then for each squarefree part the
 classical lift-and-recombine method on the primitive integer polynomial:
@@ -40,14 +40,16 @@ from ..fields import (
     FieldSpec,
     PrimeField,
     Rationals,
-    _gf_gcd,
     _gf_trim,
     _gf_xgcd,
     is_prime,
 )
 from .core import UniPoly, gcd_poly, zero_multiplicity
 
-DEFAULT_SEED = 1729
+# Equal-degree splitting draws from Random(_SPLIT_SEED), made fresh per call.
+# Any value gives the same output: every split is a true factorization, the
+# irreducible factors of a polynomial are unique, and they are sorted.
+_SPLIT_SEED = 1729
 DEGREE_CAP = 16
 COEFF_BIT_CAP = 256
 
@@ -166,7 +168,7 @@ def _sorted_factors(factors: dict[UniPoly, int]) -> tuple[tuple[UniPoly, int], .
     return tuple(sorted(factors.items(), key=lambda item: item[0].sort_key()))
 
 
-def factor_finite(f: UniPoly, seed: int = DEFAULT_SEED):
+def factor_finite(f: UniPoly):
     """Factor f over a finite field.
 
     Returns (unit, factors) where unit is the leading coefficient and
@@ -177,7 +179,7 @@ def factor_finite(f: UniPoly, seed: int = DEFAULT_SEED):
         raise SpecMismatchError("factor_finite needs a finite-field polynomial")
     if f.degree < 1:
         raise ConstantPolynomialError("cannot factor a constant polynomial")
-    rng = Random(seed)
+    rng = Random(_SPLIT_SEED)
     unit = f.leading
     collected: dict[UniPoly, int] = {}
     for part, mult in _squarefree_finite(f.monic()):
@@ -361,13 +363,13 @@ def _good_prime(s: list[int]) -> int:
         if is_prime(p) and lc % p != 0:
             smod = _gf_trim([c % p for c in s])
             dmod = _gf_trim([(i * s[i]) % p for i in range(1, len(s))])
-            if dmod and len(_gf_gcd(smod, dmod, p)) == 1:
+            if dmod and len(_gf_xgcd(smod, dmod, p)[0]) == 1:
                 return p
         p += 2
     raise InternalInvariantError("no usable prime below 100000")
 
 
-def _zassenhaus(s: list[int], seed: int) -> list[list[int]]:
+def _zassenhaus(s: list[int]) -> list[list[int]]:
     """Irreducible primitive factors of a primitive squarefree s, deg >= 1."""
     n = _zx_deg(s)
     if n == 1:
@@ -381,7 +383,7 @@ def _zassenhaus(s: list[int], seed: int) -> list[list[int]]:
         l += 1
     spec = PrimeField(p)
     smod = UniPoly.from_ints(spec, [c % p for c in s]).monic()
-    _, modular_factors = factor_finite(smod, seed)
+    _, modular_factors = factor_finite(smod)
     if any(mult != 1 for _, mult in modular_factors):
         raise InternalInvariantError("repeated factor modulo a good prime")
     modular = [[c.value for c in q.coeffs] for q, _ in modular_factors]
@@ -414,7 +416,7 @@ def _zassenhaus(s: list[int], seed: int) -> list[list[int]]:
     return out
 
 
-def factor_rationals(f: UniPoly, seed: int = DEFAULT_SEED):
+def factor_rationals(f: UniPoly):
     """Factor f over Q into monic irreducibles times the leading unit.
 
     Returns (unit, factors) with unit = lc(f) and factors a canonically
@@ -436,7 +438,7 @@ def factor_rationals(f: UniPoly, seed: int = DEFAULT_SEED):
         if max(abs(c) for c in ints).bit_length() > COEFF_BIT_CAP:
             raise CoefficientCapExceededError(
                 f"coefficients exceed {COEFF_BIT_CAP} bits after clearing denominators")
-        for g in _zassenhaus(ints, seed):
+        for g in _zassenhaus(ints):
             monic = UniPoly.from_ints(spec, [Fraction(c, g[-1]) for c in g])
             collected[monic] = collected.get(monic, 0) + mult
     return unit, _sorted_factors(collected)
@@ -464,7 +466,7 @@ class FactorProfile:
     chosen_q: UniPoly | None
 
 
-def factor_profile(f: UniPoly, seed: int = DEFAULT_SEED) -> FactorProfile:
+def factor_profile(f: UniPoly) -> FactorProfile:
     """Decompose f = c + x^m * h and factor h over its coefficient field."""
     if f.degree < 1:
         raise ConstantPolynomialError("profile needs a nonconstant polynomial")
@@ -478,9 +480,9 @@ def factor_profile(f: UniPoly, seed: int = DEFAULT_SEED) -> FactorProfile:
         profile = FactorProfile(c, m_mult, h, h.constant_term, (), None, None)
     else:
         if spec.is_finite:
-            unit, factors = factor_finite(h, seed)
+            unit, factors = factor_finite(h)
         else:
-            unit, factors = factor_rationals(h, seed)
+            unit, factors = factor_rationals(h)
         d = min(q.degree for q, _ in factors)
         chosen = min((q for q, _ in factors if q.degree == d),
                      key=lambda q: q.sort_key())

@@ -218,18 +218,19 @@ def test_cli_simpleroots_over_a_tag_needs_a_concrete_field(capsys):
         assert err == "error: simple-roots check needs a concrete field\n"
 
 
-def test_cli_seed_flag_and_env(capsys, monkeypatch):
+def test_cli_has_no_seed_flag_or_env(capsys, monkeypatch):
+    # factoring is canonical, so nothing a seed could change is left to set
     argv = ["matrix", "--poly", "x^4+2*x", "--field", "Q", "--n", "3"]
-    _, r1, _ = _run_json(capsys, argv + ["--seed", "5"])
-    _, r2, _ = _run_json(capsys, argv + ["--seed", "99"])
-    assert r1["verdict"] == r2["verdict"]  # canonical factor order
-    assert r1["bounds"]["seed"] == 5 and r2["bounds"]["seed"] == 99
-    monkeypatch.setenv("EVA_INJECT_SEED", "123")
-    _, r3, _ = _run_json(capsys, argv)
-    assert r3["bounds"]["seed"] == 123
-    monkeypatch.setenv("EVA_INJECT_SEED", "junk")
-    code, _, err = _run(capsys, argv)
+    code, _, err = _run(capsys, argv + ["--seed", "5"])
     assert code == 64
+    assert err.startswith("usage error: unrecognized arguments: --seed 5")
+    _, plain, _ = _run_json(capsys, argv)
+    monkeypatch.setenv("EVA_INJECT_SEED", "junk")
+    code, report, _ = _run_json(capsys, argv)
+    assert code == 1
+    assert "seed" not in report["bounds"]
+    del plain["timing_ms"], report["timing_ms"]
+    assert report == plain
 
 
 def test_cli_verify_rejects_non_witness(capsys):

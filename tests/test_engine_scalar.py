@@ -200,6 +200,21 @@ def test_finite_field_scalar_verdict_is_permutation_verdict():
         assert (v.evidence.exhaustive is None) == (f.spec.order > bounds.scalar_cap)
 
 
+def test_non_permutation_witness_is_scanned_and_verified_once(monkeypatch):
+    from evainject import engine
+
+    calls = []
+
+    def counting(f, lhs, rhs):
+        calls.append((lhs, rhs))
+        return verify_witness(f, lhs, rhs)
+
+    monkeypatch.setattr(engine, "verify_witness", counting)
+    v = scalar_injectivity(U(F7, [0, 0, 0, 1]), F7)
+    assert v.status is Status.NOT_INJECTIVE
+    assert calls == [(v.witness.lhs, v.witness.rhs)]
+
+
 def test_frobenius_is_permutation_but_fails_simple_roots():
     for p in (2, 3, 5):
         spec = PrimeField(p)

@@ -14,6 +14,7 @@ from evainject import (
     squarefree_decomposition,
 )
 from evainject.errors import ConstantPolynomialError, DegreeCapExceededError
+from evainject.polynomials import factor as factor_module
 
 from oracles import all_polys, trial_division_factor
 
@@ -77,9 +78,14 @@ def test_factor_finite_extension_reconstruction():
                 assert q.is_monic()
 
 
-def test_factor_finite_deterministic_across_seeds():
-    f = U(F5, [2, 3, 0, 1, 1, 2])
-    assert factor_finite(f, seed=1) == factor_finite(f, seed=999)
+def test_factor_finite_deterministic_across_seeds(monkeypatch):
+    # the split seed is private because no value of it changes the output
+    cases = [U(F5, [2, 3, 0, 1, 1, 2]), U(F5, [4, 0, 0, 0, 1])]  # x^4-1: four linear factors
+    outputs = []
+    for seed in (1, 999):
+        monkeypatch.setattr(factor_module, "_SPLIT_SEED", seed)
+        outputs.append([factor_finite(f) for f in cases])
+    assert outputs[0] == outputs[1]
 
 
 def test_factor_rationals_examples():

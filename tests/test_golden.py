@@ -17,7 +17,6 @@ cases, when any other record differs from a fresh run.
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 
@@ -152,8 +151,7 @@ def _canonical(record) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def test_golden_corpus_replays_exactly(monkeypatch):
-    monkeypatch.delenv("EVA_INJECT_SEED", raising=False)
+def test_golden_corpus_replays_exactly():
     records = json.loads(CORPUS.read_text())
     assert [r["argv"] for r in records] == CASES, "re-record the corpus"
     changed = [r["argv"] for r in records if _canonical(run_case(r["argv"])) != _canonical(r)]
@@ -178,7 +176,6 @@ def rerecord(names):
 
 
 def test_rerecord_writes_only_named_changes(tmp_path, monkeypatch):
-    monkeypatch.delenv("EVA_INJECT_SEED", raising=False)
     tool = sys.modules[__name__]  # rerecord reads CASES and CORPUS from here
     cases = [["analyze", "--poly", "x^3", "--field", "F7"],
              ["analyze", "--poly", "x^3", "--field", "F5"]]
@@ -200,5 +197,4 @@ def test_rerecord_writes_only_named_changes(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("EVA_INJECT_SEED", None)
     rerecord(sys.argv[1:])

@@ -24,7 +24,7 @@ from evainject import (
     search_rational_collisions,
     search_tuple_collisions,
 )
-from evainject.engine import first_scalar_collision
+from evainject.engine import permutation_verdict
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 F4, F8, F9 = (ExtensionField.from_order(q) for q in (4, 8, 9))
@@ -72,12 +72,13 @@ def test_tuple_search_matches_plain_grid_scan():
         assert _pair(w) == first_collision(f, itertools.product(points, repeat=2))
 
 
-def test_first_scalar_collision_matches_plain_element_scan():
-    for spec in (F7, F9, F8):
-        for f in _random_polys(spec, 6, 3, seed=spec.order):
-            expected = first_collision(f, field_elements(spec))
-            if expected is not None:
-                assert _pair(first_scalar_collision(f)) == expected
+def test_permutation_verdict_matches_plain_element_scan():
+    # once with the cross-check scan, once with Hermite alone deciding
+    for bounds in (Bounds(), Bounds(scalar_cap=2)):
+        for spec in (F7, F9, F8):
+            for f in _random_polys(spec, 6, 3, seed=spec.order):
+                expected = first_collision(f, field_elements(spec))
+                assert _verdict_pair(permutation_verdict(f, bounds)) == expected
 
 
 def test_pigeonhole_scan_matches_plain_tuple_scan():
