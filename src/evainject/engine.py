@@ -284,13 +284,13 @@ def _first_collision(f, points: Iterable, image=None,
     * rational grid: rational_grid(height), by denominator, then numerator;
     * F^m and Q^m: itertools.product over the coordinate list, the last
       coordinate changing fastest;
-    * n x n matrices: itertools.product over the entry list, row-major,
-      the last entry changing fastest (_all_matrices).
+    * n x n matrices: flat row-major value tuples, itertools.product over
+      the entry values, the last entry changing fastest.
 
     A scan may compare image(point), a hashable key equal exactly when the
-    values of f are, in place of f's boxed value; the rational scans key
-    plain ints by the reduced integer pair of f's value.  Only the two
-    witness points are then boxed, and verify_witness re-checks them.
+    values of f are, in place of f's boxed value: rational scans key int
+    pairs by f's reduced pair, matrix scans value tuples by f's.  Only the
+    two witness points are then boxed, and verify_witness re-checks them.
     """
     seen = {}
     for point in points:
@@ -335,9 +335,13 @@ def rational_grid(height: int) -> list[Fraction]:
 
 
 def _grid_size(height: int) -> int:
-    """len(rational_grid(height)), 1 + 2*height*(phi(1) + ... + phi(height)), unbuilt."""
-    return 1 + 2 * height * sum(math.gcd(a, b) == 1 for b in range(1, height + 1)
-                                for a in range(1, b + 1))
+    """len(rational_grid(height)) = 1 + 2h(phi(1) + ... + phi(h)), by a totient sieve."""
+    phi = list(range(height + 1))
+    for k in range(2, height + 1):
+        if phi[k] == k:  # untouched, so k is prime
+            for multiple in range(k, height + 1, k):
+                phi[multiple] -= phi[multiple] // k
+    return 1 + 2 * height * sum(phi[1:])
 
 
 def _rational_image(f: UniPoly):
@@ -376,6 +380,33 @@ def search_rational_collisions(f: UniPoly, height: int) -> Witness | None:
                             lambda point: QQ.element(Fraction(*point)))
 
 
+def _matrix_image(f: UniPoly, n: int):
+    """The key of f(A) for A's flat row-major value tuple: the flat tuple of
+    f(A)'s canonical values, by Horner through the spec's value hooks."""
+    add, mul, zero = f.spec._add, f.spec._mul, f.spec.zero().value
+    lead, *rest = [c.value for c in reversed(f.coeffs)] or [zero]
+    cells = [(i == j, [(i * n + k, k * n + j) for k in range(n)])
+             for i in range(n) for j in range(n)]
+
+    def image(a: tuple) -> tuple:
+        acc = [lead if on_diagonal else zero for on_diagonal, _ in cells]
+        for c in rest:  # acc = acc * a + c * I
+            product = []
+            for on_diagonal, pairs in cells:
+                entry = c if on_diagonal else zero
+                for x, y in pairs:
+                    entry = add(entry, mul(acc[x], a[y]))
+                product.append(entry)
+            acc = product
+        return tuple(acc)
+    return image
+
+
+def _matrix_box(spec: FieldSpec, n: int):
+    """The Matrix of a flat row-major value tuple."""
+    return lambda a: Matrix.from_rows(spec, [a[i * n:(i + 1) * n] for i in range(n)])
+
+
 def search_matrix_collisions(f: UniPoly, n: int, height: int,
                              cap: int = DEFAULT_BOUNDS.matrix_cap) -> Witness | None:
     """Scan n x n matrices with grid entries for f(A) = f(B), A != B.
@@ -388,8 +419,8 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     if total > cap:
         raise EnumerationCapExceededError(
             f"{total} candidate matrices exceed the cap {cap}; lower the height")
-    grid = [spec.element(r) for r in rational_grid(height)]
-    return _first_collision(f, _all_matrices(f.spec, n, grid))
+    points = itertools.product(rational_grid(height), repeat=n * n)
+    return _first_collision(f, points, _matrix_image(f, n), _matrix_box(spec, n))
 
 
 def search_verdict(f: UniPoly, n: int | None,
@@ -872,12 +903,11 @@ def brute_force_scalar(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     if spec.order > bounds.scalar_cap:
         raise EnumerationCapExceededError(
             f"q = {spec.order} exceeds the scalar cap {bounds.scalar_cap}")
-    return _exhaustive_verdict(f, spec.elements(), spec.order)
+    return _exhaustive_verdict(_first_collision(f, spec.elements()), spec.order)
 
 
-def _exhaustive_verdict(f, points: Iterable, total: int) -> Verdict:
-    """The oracles' verdict on a complete scan of total points."""
-    w = _first_collision(f, points)
+def _exhaustive_verdict(w: Witness | None, total: int) -> Verdict:
+    """The oracles' verdict on a complete scan of total points that found w."""
     if w is not None:
         return Verdict(Status.NOT_INJECTIVE, Reason.EXHAUSTIVE,
                        "collision found by complete enumeration", w)
@@ -885,16 +915,10 @@ def _exhaustive_verdict(f, points: Iterable, total: int) -> Verdict:
                    f"all {total} values are distinct")
 
 
-def _all_matrices(spec: FieldSpec, n: int, entries: list) -> Iterable[Matrix]:
-    """Every n x n matrix with entries from the list, row-major, last entry fastest."""
-    for flat in itertools.product(entries, repeat=n * n):
-        yield Matrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
-
-
 def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None,
-                     bounds: Bounds) -> tuple[int, Iterable[Matrix]]:
-    """The size of M_n(F_q) and its matrices in scan order, for the oracles
-    below, once the field and the cap allow a complete enumeration."""
+                     bounds: Bounds) -> tuple[int, Iterable[tuple]]:
+    """The size of M_n(F_q) and its flat value tuples in scan order, for the
+    oracles below, once the field and the cap allow a complete enumeration."""
     spec = spec or f.spec
     if spec != f.spec:
         raise SpecMismatchError("oracle field must match the coefficient field")
@@ -904,14 +928,15 @@ def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None,
     if total > bounds.matrix_cap:
         raise EnumerationCapExceededError(
             f"q^(n^2) = {total} matrices exceed the cap {bounds.matrix_cap}")
-    return total, _all_matrices(spec, n, list(spec.elements()))
+    return total, itertools.product([e.value for e in spec.elements()], repeat=n * n)
 
 
 def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
                        bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     """Exhaustive matrix oracle over a finite field: scan all of M_n(F_q)."""
     total, matrices = _oracle_matrices(f, n, spec, bounds)
-    return _exhaustive_verdict(f, matrices, total)
+    w = _first_collision(f, matrices, _matrix_image(f, n), _matrix_box(f.spec, n))
+    return _exhaustive_verdict(w, total)
 
 
 def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
@@ -922,5 +947,7 @@ def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
     n < d conclusion on small instances.
     """
     _, matrices = _oracle_matrices(f, n, spec, bounds)
-    target = Matrix.identity(f.spec, n).scale(f.constant_term)
-    return [a for a in matrices if not a.is_zero() and mat_poly_eval(f, a) == target]
+    image, box = _matrix_image(f, n), _matrix_box(f.spec, n)
+    zero = (f.spec.zero().value,) * (n * n)
+    target = image(zero)
+    return [box(a) for a in matrices if a != zero and image(a) == target]

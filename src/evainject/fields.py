@@ -433,12 +433,10 @@ class ExtensionField(FieldSpec):
         return FieldElement(self, tuple(digits))
 
     def _add(self, a, b):
-        s = _gf_add(list(a), list(b), self.p)
-        return tuple(s) + (0,) * (self.k - len(s))
+        return tuple([(x + y) % self.p for x, y in zip(a, b)])
 
     def _neg(self, a):
-        n = [(-c) % self.p for c in a]
-        return tuple(n)
+        return tuple([(-c) % self.p for c in a])
 
     def _mul(self, a, b):
         prod = _gf_mul(_gf_trim(list(a)), _gf_trim(list(b)), self.p)

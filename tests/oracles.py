@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from evainject import Matrix, UniPoly
+from evainject import Matrix, UniPoly, mat_poly_eval
 
 
 def all_polys(spec, max_degree):
@@ -130,3 +130,12 @@ def grid_matrices(spec, n, entries):
     """n x n matrices over the entry list, row-major, last entry fastest."""
     return [Matrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
             for flat in itertools.product(entries, repeat=n * n)]
+
+
+def zero_fiber(f, n):
+    """Nonzero A in M_n(F_q) with f(A) = f(0) * I, in grid_matrices order,
+    by boxed Horner on every matrix."""
+    spec = f.spec
+    target = Matrix.identity(spec, n).scale(f.constant_term)
+    return [a for a in grid_matrices(spec, n, field_elements(spec))
+            if not a.is_zero() and mat_poly_eval(f, a) == target]

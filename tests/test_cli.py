@@ -87,6 +87,19 @@ def test_cli_rejects_huge_field_order_promptly(capsys):
     assert "exceeds the 2^31 cap" in capsys.readouterr().err
 
 
+def test_cli_matrix_search_refuses_a_huge_height_promptly(capsys):
+    # the height-100000 grid size comes from a totient sieve, not from
+    # counting gcds up to the height squared, so the cap refuses at once
+    result = {}
+    argv = ["search", "--poly", "x^2", "--field", "Q", "--n", "2", "--height", "100000"]
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "the search did not refuse within 2 s"
+    assert result["code"] == 64
+    assert "exceed the cap" in capsys.readouterr().err
+
+
 def test_cli_rational_search_stops_at_first_collision_promptly(capsys):
     # The height-2000 grid has billions of points; x^2 collides at (-1, 1)
     # within its first 2,002, so the scan must not build the grid first.

@@ -7,6 +7,8 @@ from evainject import (
     ACF,
     QQ,
     RCF,
+    ExtensionField,
+    FieldElement,
     Matrix,
     PrimeField,
     Reason,
@@ -190,6 +192,33 @@ def test_matrix_oracle_agreement_over_f2():
         else:
             assert v.status is Status.UNDECIDED
             assert brute_force_zero_fiber(f, 2) == []
+
+
+def _elements_built(monkeypatch, call):
+    """call()'s result and the number of FieldElements it built."""
+    built = []
+    init = FieldElement.__init__
+
+    def counting_init(self, spec, value):
+        built.append(value)
+        init(self, spec, value)
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    result = call()
+    monkeypatch.undo()
+    return result, len(built)
+
+
+def test_matrix_scans_box_only_fiber_members(monkeypatch):
+    # the scans run on canonical values: a zero fiber boxes its members'
+    # n^2 entries, an injective complete scan next to nothing
+    f = U(F3, [0, 1, 0, 1])
+    fiber, built = _elements_built(monkeypatch, lambda: brute_force_zero_fiber(f, 2))
+    assert len(fiber) == 6
+    assert built <= len(fiber) * 4 + 64
+    g = U(ExtensionField.from_order(4), [0, 1, 1, 0, 1])
+    verdict, built = _elements_built(monkeypatch, lambda: brute_force_matrix(g, 2))
+    assert verdict.status is Status.INJECTIVE
+    assert built <= 64
 
 
 def test_brute_force_matrix_examples():

@@ -23,6 +23,7 @@ from evainject.errors import (
     SpecMismatchError,
     SymbolicFieldError,
 )
+from evainject.fields import BUILTIN_MODULI, _gf_add
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -243,3 +244,15 @@ def test_two_adic_cube_identity():
         v = two_adic_valuation(-2 * u ** 3)
         assert v == 1 + 3 * two_adic_valuation(u)
         assert v != 2
+
+
+def test_extension_add_matches_the_int_list_kernel():
+    for (p, k), modulus in BUILTIN_MODULI.items():
+        if p ** k > 16:
+            continue
+        spec = ExtensionField(p, modulus)
+        values = [e.value for e in spec.elements()]
+        for a in values:
+            for b in values:
+                s = _gf_add(a, b, p)
+                assert spec._add(a, b) == tuple(s) + (0,) * (k - len(s))

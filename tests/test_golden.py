@@ -77,11 +77,14 @@ CASES = [
     ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "2"],
     ["bruteforce", "--poly", "x^2+x", "--field", "F2", "--n", "2"],
     ["bruteforce", "--poly", "x", "--field", "F2", "--n", "2"],
+    ["bruteforce", "--poly", "x^4+x^2+x", "--field", "F4", "--n", "2"],
+    ["bruteforce", "--poly", "x^7+x^5+x", "--field", "F2", "--n", "2"],
     # search: rational grid and matrix grid scans
     ["search", "--poly", "x^2", "--field", "Q", "--height", "3"],
     ["search", "--poly", "x^4+2*x", "--field", "Q", "--height", "5"],
     ["search", "--poly", "x^4+2*x", "--field", "Q", "--n", "2", "--height", "2"],
     ["search", "--poly", "x^3", "--field", "Q", "--n", "2", "--height", "1"],
+    ["search", "--poly", "x^4+2*x", "--field", "Q", "--n", "2", "--height", "1"],
     # verify
     ["verify", "--poly", "x^4+2*x", "--field", "Q",
      "--lhs", _VERIFY_LHS, "--rhs", _VERIFY_RHS],

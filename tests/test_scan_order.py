@@ -7,7 +7,13 @@ over a plain enumeration of that caller's points, not just some collision.
 import itertools
 import random
 
-from oracles import field_elements, first_collision, grid_matrices, rational_points
+from oracles import (
+    field_elements,
+    first_collision,
+    grid_matrices,
+    rational_points,
+    zero_fiber,
+)
 
 from evainject import (
     QQ,
@@ -19,6 +25,7 @@ from evainject import (
     UniPoly,
     brute_force_matrix,
     brute_force_scalar,
+    brute_force_zero_fiber,
     multivariate_injectivity,
     search_matrix_collisions,
     search_rational_collisions,
@@ -101,8 +108,21 @@ def test_brute_force_scalar_matches_plain_element_scan():
 
 
 def test_brute_force_matrix_matches_plain_matrix_scan():
-    cases = [(U(F2, [0, 0, 1]), F2), (U(F2, [0, 1]), F2), (U(F2, [1, 1, 0, 1]), F2),
-             (U(F3, [0, 0, 1]), F3), (U(F3, [0, 1, 0, 1]), F3)]
-    for f, spec in cases:
-        expected = first_collision(f, grid_matrices(spec, 2, field_elements(spec)))
-        assert _verdict_pair(brute_force_matrix(f, 2, bounds=Bounds())) == expected
+    # F4 entries are tuple values; the F2 n = 3 case scans 9-entry tuples
+    cases = [(U(F2, [0, 0, 1]), 2), (U(F2, [0, 1]), 2), (U(F2, [1, 1, 0, 1]), 2),
+             (U(F3, [0, 0, 1]), 2), (U(F3, [0, 1, 0, 1]), 2),
+             (U(F4, [0, 0, 1]), 2), (U(F4, [1, 1, 1]), 2), (U(F4, [0, 1, 1, 1]), 2),
+             (U(F4, [0, 1, 1, 0, 1]), 2), (U(F2, [0, 1, 1, 1]), 3)]
+    for f, n in cases:
+        expected = first_collision(f, grid_matrices(f.spec, n, field_elements(f.spec)))
+        assert _verdict_pair(brute_force_matrix(f, n, bounds=Bounds())) == expected
+
+
+def test_zero_fiber_matches_plain_matrix_scan():
+    # f = x * h with h(0) != 0, so f(0) = 0 and the fiber is h's nonzero kernel
+    cases = [(U(F2, [0, 1, 1, 1]), 2), (U(F2, [0, 1, 0, 1]), 2), (U(F2, [0, 1, 0, 1]), 3),
+             (U(F2, [0, 1, 1, 0, 1]), 3), (U(F3, [0, 1, 0, 1]), 2), (U(F3, [0, 2, 0, 1]), 2),
+             (U(F3, [0, 1, 1, 1]), 2), (U(F4, [0, 1, 0, 1]), 2), (U(F4, [0, 1, 1, 1]), 2),
+             (U(F4, [0, 1, 1, 0, 1]), 2), (U(F5, [0, 1, 0, 1]), 2), (U(F5, [0, 4, 0, 1]), 2)]
+    for f, n in cases:
+        assert brute_force_zero_fiber(f, n) == zero_fiber(f, n)
