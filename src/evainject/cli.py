@@ -22,6 +22,7 @@ arrays of coefficient strings, e.g. [["0","1/2"],["1","-1"]].
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -441,7 +442,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on first use; parsing
+    leaves it unchanged, so every main call can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--poly", required=True, help="polynomial, e.g. \"x^4+2*x\"")
     common.add_argument("--field", required=True,

@@ -279,7 +279,7 @@ def _first_collision(f, points: Iterable, image=None,
     before is the witness rhs, and the earliest point with that image is
     its lhs.  The callers fix the order of points:
 
-    * F_q: FieldSpec.elements(), by index (the int itself for F_p; for
+    * F_q: FieldSpec.values(), by index (the int itself for F_p; for
       F_{p^k} the coefficient tuple read as base-p digits, lowest first);
     * rational grid: rational_grid(height), by denominator, then numerator;
     * F^m and Q^m: itertools.product over the coordinate list, the last
@@ -289,8 +289,10 @@ def _first_collision(f, points: Iterable, image=None,
 
     A scan may compare image(point), a hashable key equal exactly when the
     values of f are, in place of f's boxed value: rational scans key int
-    pairs by f's reduced pair, matrix scans value tuples by f's.  Only the
-    two witness points are then boxed, and verify_witness re-checks them.
+    pairs by f's reduced pair; finite-field scalar, F_q^m and matrix scans
+    key canonical values (or tuples of them) by f's canonical value (or
+    tuple).  Only the two witness points are then boxed, and verify_witness
+    re-checks them.
     """
     seen = {}
     for point in points:
@@ -378,6 +380,50 @@ def search_rational_collisions(f: UniPoly, height: int) -> Witness | None:
     _search_spec(f)
     return _first_collision(f, _grid_pairs(height), _rational_image(f),
                             lambda point: QQ.element(Fraction(*point)))
+
+
+def _scalar_image(f: UniPoly):
+    """f on a canonical value of its field: Horner through the spec's value
+    hooks, returning f(a)'s canonical value."""
+    add, mul = f.spec._add, f.spec._mul
+    lead, *rest = [c.value for c in reversed(f.coeffs)] or [f.spec.zero().value]
+
+    def image(a):
+        acc = lead
+        for c in rest:
+            acc = add(mul(acc, a), c)
+        return acc
+    return image
+
+
+def _multi_image(f: MultiPoly):
+    """f on a tuple of canonical values of F_q: the sum of c_e * prod a_i^e_i
+    through the spec's value hooks, each power by repeated squaring.  Since
+    a^e = a^((e-1) mod (q-1) + 1) on F_q for e >= 1, exponents are folded
+    below q first."""
+    spec = f.spec
+    add, mul, zero, one, q = spec._add, spec._mul, spec.zero().value, spec.one().value, spec.order
+    terms = [(tuple(e and (e - 1) % (q - 1) + 1 for e in exps), c.value)
+             for exps, c in f.terms.items()]
+
+    def power(a, e):
+        result = one
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            e >>= 1
+        return result
+
+    def image(point: tuple):
+        acc = zero
+        for exps, c in terms:
+            for a, e in zip(point, exps):
+                if e:
+                    c = mul(c, power(a, e))
+            acc = add(acc, c)
+        return acc
+    return image
 
 
 def _matrix_image(f: UniPoly, n: int):
@@ -521,38 +567,41 @@ def _check_pairing(f, spec: FieldSpec):
             "symbolic tags take rational coefficients")
 
 
-def _reduce_mod_field_poly(f: UniPoly) -> UniPoly:
-    """Reduce modulo x^q - x by folding exponents e >= q to ((e-1) mod (q-1)) + 1."""
-    spec = f.spec
-    q = spec.order
-    out = [spec.zero()] * q
-    for e, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        e2 = e if e < q else ((e - 1) % (q - 1)) + 1
-        out[e2] = out[e2] + c
-    return UniPoly(spec, out)
-
-
 def _hermite_is_permutation(f: UniPoly) -> bool:
     """Degree-reduction permutation test over F_q.
 
     f permutes F_q iff it has exactly one root in F_q and, for every t
     with 1 <= t <= q - 2 not divisible by the characteristic, the
     reduction of f^t modulo x^q - x has degree at most q - 2.
+
+    Polynomials are sparse {exponent: canonical value} maps without zero
+    values.  Reducing modulo x^q - x folds an exponent e >= q to
+    ((e-1) mod (q-1)) + 1, so a reduced polynomial has degree at most q - 1
+    and exceeds q - 2 exactly when it has an x^(q-1) term.
     """
     spec = f.spec
     q = spec.order
     p = spec.characteristic
-    roots = sum(1 for a in spec.elements() if f.eval(a).is_zero())
-    if roots != 1:
+    add, mul, zero = spec._add, spec._mul, spec.zero().value
+    image = _scalar_image(f)
+    if sum(1 for a in spec.values() if image(a) == zero) != 1:
         return False
-    reduced_f = _reduce_mod_field_poly(f)
-    ft = reduced_f
+
+    def reduced(pairs) -> dict:
+        out = {}
+        for e, c in pairs:
+            if e >= q:
+                e = (e - 1) % (q - 1) + 1
+            out[e] = add(out.get(e, zero), c)
+        return {e: c for e, c in out.items() if c != zero}
+
+    terms = reduced((e, c.value) for e, c in enumerate(f.coeffs))
+    ft = terms
     for t in range(1, q - 1):
         if t > 1:
-            ft = _reduce_mod_field_poly(ft * reduced_f)
-        if t % p != 0 and ft.degree > q - 2:
+            ft = reduced((e1 + e2, mul(c1, c2))
+                         for e1, c1 in ft.items() for e2, c2 in terms.items())
+        if t % p != 0 and q - 1 in ft:
             return False
     return True
 
@@ -573,7 +622,7 @@ def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_c
     cross_check = spec.order <= cross_check_cap
     collision = None
     if cross_check or not hermite:
-        collision = _first_collision(f, spec.elements())
+        collision = _first_collision(f, spec.values(), _scalar_image(f), spec.element)
         if (collision is None) != hermite:
             raise InconsistentMethodsError(
                 f"degree-reduction test says {hermite}, exhaustive scan says "
@@ -611,7 +660,8 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     if fp.is_zero():
         b = spec.zero()
     elif spec.is_finite:
-        b = next((b for b in spec.elements() if fp.eval(b).is_zero()), None)
+        image, zero = _scalar_image(fp), spec.zero().value
+        b = next((spec.element(v) for v in spec.values() if image(v) == zero), None)
     else:
         roots = rational_roots(fp)
         b = spec.element(roots[0]) if roots else None
@@ -851,7 +901,10 @@ def multivariate_injectivity(f: MultiPoly, spec: FieldSpec | None = None,
         if total > bounds.matrix_cap:
             raise EnumerationCapExceededError(
                 f"q^m = {total} points exceed the enumeration cap {bounds.matrix_cap}")
-        w = _first_collision(f, itertools.product(list(spec.elements()), repeat=f.m))
+        values = list(spec.values())
+        w = _first_collision(f, itertools.product(values, repeat=f.m),
+                             _multi_image(f),
+                             lambda point: tuple(map(spec.element, point)))
         if w is None:
             raise InternalInvariantError("no collision in a full scan of F^m")
         return Verdict(Status.NOT_INJECTIVE, Reason.PIGEONHOLE,
@@ -903,7 +956,8 @@ def brute_force_scalar(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     if spec.order > bounds.scalar_cap:
         raise EnumerationCapExceededError(
             f"q = {spec.order} exceeds the scalar cap {bounds.scalar_cap}")
-    return _exhaustive_verdict(_first_collision(f, spec.elements()), spec.order)
+    w = _first_collision(f, spec.values(), _scalar_image(f), spec.element)
+    return _exhaustive_verdict(w, spec.order)
 
 
 def _exhaustive_verdict(w: Witness | None, total: int) -> Verdict:
@@ -928,7 +982,7 @@ def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None,
     if total > bounds.matrix_cap:
         raise EnumerationCapExceededError(
             f"q^(n^2) = {total} matrices exceed the cap {bounds.matrix_cap}")
-    return total, itertools.product([e.value for e in spec.elements()], repeat=n * n)
+    return total, itertools.product(list(spec.values()), repeat=n * n)
 
 
 def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,

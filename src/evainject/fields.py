@@ -28,6 +28,7 @@ irreducible polynomials for q <= 64.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -278,9 +279,14 @@ class FieldSpec:
             self._one = self.element(1)
         return self._one
 
-    def elements(self) -> Iterator["FieldElement"]:
-        """Yield every element once, in the canonical enumeration order."""
+    def values(self) -> Iterator:
+        """Yield every canonical value once, in the canonical enumeration
+        order: by index, as element_from_index numbers them."""
         raise InfiniteFieldError(f"cannot enumerate the elements of {self}")
+
+    def elements(self) -> Iterator["FieldElement"]:
+        """Yield every element once, in the order of values()."""
+        return (FieldElement(self, v) for v in self.values())
 
     def element_from_index(self, i: int) -> "FieldElement":
         raise InfiniteFieldError(f"{self} is not a finite field")
@@ -334,9 +340,8 @@ class PrimeField(FieldSpec):
                 f"elements of {self} are built from ints, not {value!r}")
         return FieldElement(self, value % self.p)
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.p):
-            yield FieldElement(self, v)
+    def values(self) -> Iterator[int]:
+        return iter(range(self.p))
 
     def element_from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.p:
@@ -419,9 +424,10 @@ class ExtensionField(FieldSpec):
                 f"elements of {self} are built from ints or int sequences, not {value!r}")
         return FieldElement(self, self._canon(value))
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.order):
-            yield self.element_from_index(i)
+    def values(self) -> Iterator[tuple[int, ...]]:
+        # index sum(c_i * p^i) counts up with c_0 fastest; product varies
+        # its last place fastest, so each tuple is read backwards
+        return (digits[::-1] for digits in itertools.product(range(self.p), repeat=self.k))
 
     def element_from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
@@ -439,8 +445,20 @@ class ExtensionField(FieldSpec):
         return tuple([(-c) % self.p for c in a])
 
     def _mul(self, a, b):
-        prod = _gf_mul(_gf_trim(list(a)), _gf_trim(list(b)), self.p)
-        return self._canon(prod)
+        # schoolbook product, then x^k = -(m_0 + ... + m_(k-1) x^(k-1)) for
+        # the monic modulus m, folded from the top degree down
+        p, k, mod = self.p, self.k, self.modulus
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j in range(k):
+                    prod[i - k + j] -= c * mod[j]
+        return tuple([c % p for c in prod[:k]])
 
     def _inv(self, a):
         va = _gf_trim(list(a))

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: the characteristic
 polynomial comes from cofactor expansion (the minimal polynomial uses
 Krylov elimination), factorization comes from trial division over all
 monic polynomials (the library uses distinct/equal-degree splitting), and
-injectivity comes from complete image scans.
+injectivity comes from complete image scans.  elements_built counts the
+FieldElements a call builds, for the tests that keep scans on values.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from evainject import Matrix, UniPoly, mat_poly_eval
+from evainject import FieldElement, Matrix, UniPoly, mat_poly_eval
 
 
 def all_polys(spec, max_degree):
@@ -139,3 +140,17 @@ def zero_fiber(f, n):
     target = Matrix.identity(spec, n).scale(f.constant_term)
     return [a for a in grid_matrices(spec, n, field_elements(spec))
             if not a.is_zero() and mat_poly_eval(f, a) == target]
+
+
+def elements_built(monkeypatch, call):
+    """call()'s result and the number of FieldElements it built."""
+    built = []
+    init = FieldElement.__init__
+
+    def counting_init(self, spec, value):
+        built.append(value)
+        init(self, spec, value)
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    result = call()
+    monkeypatch.undo()
+    return result, len(built)

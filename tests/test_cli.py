@@ -100,6 +100,21 @@ def test_cli_matrix_search_refuses_a_huge_height_promptly(capsys):
     assert "exceed the cap" in capsys.readouterr().err
 
 
+def test_cli_pigeonhole_answers_a_huge_exponent_promptly(capsys):
+    # exponents fold below q before the F_q^m scan, so x1^(10^8) costs
+    # no more than x1^k for some k < 7
+    result = {}
+    argv = ["analyze", "--poly", "x1^100000000+x2", "--vars", "2", "--field", "F7",
+            "--output", "json"]
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "the pigeonhole scan did not answer within 2 s"
+    assert result["code"] == 1
+    witness = json.loads(capsys.readouterr().out)["verdict"]["witness"]
+    assert (witness["lhs"], witness["rhs"]) == (["0", "1"], ["1", "0"])
+
+
 def test_cli_rational_search_stops_at_first_collision_promptly(capsys):
     # The height-2000 grid has billions of points; x^2 collides at (-1, 1)
     # within its first 2,002, so the scan must not build the grid first.
@@ -335,3 +350,30 @@ def test_cli_matrix_factors_f_once(capsys, monkeypatch):
                                          "--field", "Q", "--n", "2"])
     assert code == 2 and report["extra"]["d"] == 3
     assert len(calls) == 1
+
+
+def test_cli_reuses_one_parser(capsys, monkeypatch):
+    # main shares one parser per process; a usage error on it changes
+    # nothing for later calls, which answer as on a fresh parser
+    from evainject import cli
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["permcheck", "--poly", "x^3", "--field", "F7"],
+             ["analyze", "--poly", "x^3", "--field", "F5", "--vars", "0"],
+             ["matrix", "--poly", "x^2", "--field", "Q"],
+             ["analyze", "--poly", "x1*x2", "--vars", "2", "--field", "F3"],
+             ["simpleroots", "--poly", "x^3+2*x", "--field", "F7"],
+             ["bruteforce", "--poly", "x^2+x", "--field", "F2", "--n", "2"],
+             ["verify", "--poly", "x^2", "--field", "Q", "--lhs", "1", "--rhs", "-1"]]
+
+    def answers():
+        out = []
+        for argv in argvs:
+            code, report, err = _run_json(capsys, argv)
+            if report is not None:
+                report.pop("timing_ms")
+            out.append((code, report, err))
+        return out
+    shared = answers()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert shared == answers()
+    assert [code for code, _, _ in shared] == [1, 64, 64, 1, 2, 1, 1]

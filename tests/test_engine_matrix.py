@@ -8,7 +8,6 @@ from evainject import (
     QQ,
     RCF,
     ExtensionField,
-    FieldElement,
     Matrix,
     PrimeField,
     Reason,
@@ -29,7 +28,7 @@ from evainject.errors import (
     GcdNotOneError,
 )
 
-from oracles import all_polys
+from oracles import all_polys, elements_built
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -194,29 +193,15 @@ def test_matrix_oracle_agreement_over_f2():
             assert brute_force_zero_fiber(f, 2) == []
 
 
-def _elements_built(monkeypatch, call):
-    """call()'s result and the number of FieldElements it built."""
-    built = []
-    init = FieldElement.__init__
-
-    def counting_init(self, spec, value):
-        built.append(value)
-        init(self, spec, value)
-    monkeypatch.setattr(FieldElement, "__init__", counting_init)
-    result = call()
-    monkeypatch.undo()
-    return result, len(built)
-
-
 def test_matrix_scans_box_only_fiber_members(monkeypatch):
     # the scans run on canonical values: a zero fiber boxes its members'
     # n^2 entries, an injective complete scan next to nothing
     f = U(F3, [0, 1, 0, 1])
-    fiber, built = _elements_built(monkeypatch, lambda: brute_force_zero_fiber(f, 2))
+    fiber, built = elements_built(monkeypatch, lambda: brute_force_zero_fiber(f, 2))
     assert len(fiber) == 6
     assert built <= len(fiber) * 4 + 64
     g = U(ExtensionField.from_order(4), [0, 1, 1, 0, 1])
-    verdict, built = _elements_built(monkeypatch, lambda: brute_force_matrix(g, 2))
+    verdict, built = elements_built(monkeypatch, lambda: brute_force_matrix(g, 2))
     assert verdict.status is Status.INJECTIVE
     assert built <= 64
 

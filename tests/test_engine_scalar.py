@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from evainject.errors import (
     SpecMismatchError,
 )
 
-from oracles import all_polys, image_is_injective
+from oracles import all_polys, elements_built, image_is_injective
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -162,11 +163,48 @@ def test_permutation_check_examples():
 
 
 def test_permutation_check_methods_agree_exhaustively():
-    for spec in (F2, F3, F4):
+    # the value-level Hermite test, cross-check scan and brute-force oracle
+    # against a boxed image scan, on every f of degree <= 3
+    for spec in (F2, F3, F4, F5, F7, ExtensionField.from_order(8),
+                 ExtensionField.from_order(9)):
         for f in all_polys(spec, 3):
             check = permutation_check(f)
+            injective = image_is_injective(f)
             assert check.exhaustive is not None
-            assert check.hermite == check.exhaustive == image_is_injective(f)
+            assert check.hermite == check.exhaustive == injective
+            assert (check.collision is None) == injective
+            assert (brute_force_scalar(f).status is Status.INJECTIVE) == injective
+
+
+def test_permuting_binomials_above_the_scalar_cap():
+    # a*x^k + b with gcd(k, q - 1) = 1 permutes F_q; both methods and the
+    # oracle must say so for q up to 64
+    rng = random.Random(64)
+    bounds = Bounds(scalar_cap=64)
+    for q in (53, 16, 27, 32, 49, 64):
+        spec = PrimeField(q) if q == 53 else ExtensionField.from_order(q)
+        ks = [k for k in range(1, q) if math.gcd(k, q - 1) == 1]
+        for k in rng.sample(ks, 4):
+            a = spec.element_from_index(rng.randrange(1, q))
+            b = spec.element_from_index(rng.randrange(q))
+            f = UniPoly.constant(spec, b) + UniPoly.constant(spec, a) * UniPoly.x(spec) ** k
+            check = permutation_check(f, cross_check_cap=bounds.scalar_cap)
+            assert check.hermite and check.exhaustive and check.collision is None
+            assert image_is_injective(f)
+            assert brute_force_scalar(f, bounds).status is Status.INJECTIVE
+
+
+def test_permutation_check_boxes_only_witnesses(monkeypatch):
+    # the root count, Hermite test and cross-check scan run on canonical
+    # values: a permutation monomial over F53 boxes next to nothing
+    f = U(PrimeField(53), [0, 0, 0, 0, 0, 0, 0, 1])  # gcd(7, 52) = 1
+    check, built = elements_built(monkeypatch, lambda: permutation_check(f, 53))
+    assert check.hermite and check.exhaustive
+    assert built <= 8
+    g = U(PrimeField(53), [0, 0, 0, 1])  # gcd(3, 52) = 1
+    check, built = elements_built(monkeypatch, lambda: permutation_check(g))
+    assert check.hermite and check.exhaustive is None
+    assert built <= 8
 
 
 def test_permutation_check_hermite_only_above_cap():

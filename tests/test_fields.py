@@ -10,6 +10,7 @@ from evainject import (
     RCF,
     AlgClosedTag,
     ExtensionField,
+    FieldElement,
     PrimeField,
     Rationals,
     RealClosedTag,
@@ -23,7 +24,7 @@ from evainject.errors import (
     SpecMismatchError,
     SymbolicFieldError,
 )
-from evainject.fields import BUILTIN_MODULI, _gf_add
+from evainject.fields import BUILTIN_MODULI, _gf_add, _gf_mul, _gf_trim
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -256,3 +257,24 @@ def test_extension_add_matches_the_int_list_kernel():
             for b in values:
                 s = _gf_add(a, b, p)
                 assert spec._add(a, b) == tuple(s) + (0,) * (k - len(s))
+
+
+def test_extension_mul_matches_the_int_list_kernel():
+    # _mul reduces its tuple product by the monic modulus in one pass; the
+    # reference multiplies trimmed int lists and divides by the modulus
+    for q in (4, 8, 9, 16, 25, 27):
+        spec = ExtensionField.from_order(q)
+        values = list(spec.values())
+        for a in values:
+            for b in values:
+                expected = spec._canon(_gf_mul(_gf_trim(list(a)), _gf_trim(list(b)), spec.p))
+                assert spec._mul(a, b) == expected
+
+
+def test_values_follow_the_index_order():
+    for spec in (F2, F3, F4, ExtensionField.from_order(8), F9):
+        assert list(spec.values()) == [spec.element_from_index(i).value
+                                       for i in range(spec.order)]
+        assert list(spec.elements()) == [FieldElement(spec, v) for v in spec.values()]
+    with pytest.raises(InfiniteFieldError):
+        QQ.values()

@@ -5,7 +5,10 @@ below must return the same (lhs, rhs) as tests/oracles.first_collision run
 over a plain enumeration of that caller's points, not just some collision.
 """
 import itertools
+import json
 import random
+
+import pytest
 
 from oracles import (
     field_elements,
@@ -31,6 +34,7 @@ from evainject import (
     search_rational_collisions,
     search_tuple_collisions,
 )
+from evainject.cli import main
 from evainject.engine import permutation_verdict
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -100,6 +104,21 @@ def test_pigeonhole_scan_matches_plain_tuple_scan():
             assert _verdict_pair(multivariate_injectivity(f)) == first_collision(f, points)
 
 
+def test_pigeonhole_scan_folds_large_exponents():
+    # a^e = a^((e-1) mod (q-1) + 1) on F_q; exponents q-1, q, 2q-1 and ones
+    # far above q check the fold against the boxed square-and-multiply
+    for spec in (F3, F4, F5, F7, F8):
+        q = spec.order
+        rng = random.Random(q)
+        choices = (0, 1, q - 1, q, 2 * q - 1, 10**8, 10**8 + 1)
+        for _ in range(6):
+            terms = {(rng.choice(choices), rng.choice(choices)): 1 + rng.randrange(q - 1)
+                     for _ in range(3)}
+            f = MultiPoly.from_ints(spec, 2, terms)
+            points = itertools.product(field_elements(spec), repeat=2)
+            assert _verdict_pair(multivariate_injectivity(f)) == first_collision(f, points)
+
+
 def test_brute_force_scalar_matches_plain_element_scan():
     for spec in (F5, F7, F8, F9):
         for f in _random_polys(spec, 5, 4, seed=10 + spec.order):
@@ -126,3 +145,51 @@ def test_zero_fiber_matches_plain_matrix_scan():
              (U(F4, [0, 1, 1, 0, 1]), 2), (U(F5, [0, 1, 0, 1]), 2), (U(F5, [0, 4, 0, 1]), 2)]
     for f, n in cases:
         assert brute_force_zero_fiber(f, n) == zero_fiber(f, n)
+
+
+def _report(capsys, argv):
+    main(argv + ["--output", "json"])
+    return json.loads(capsys.readouterr().out)
+
+
+# Pinned outputs of the finite-field scalar scans: the witness of bruteforce
+# without --n, of permcheck (with and without the cross-check scan) and of
+# the F_q^2 pigeonhole scan, and the violating b of simpleroots.
+FINITE_FIELD_SCAN_PINS = [
+    (["bruteforce", "--poly", "x^4+3*x^2+5*x", "--field", "F7"], ("1", "4")),
+    (["bruteforce", "--poly", "x^5+2*x^3+x+4", "--field", "F11"], ("3", "5")),
+    (["bruteforce", "--poly", "x^3+x^2+1", "--field", "F9"], ("0", "2")),
+    (["bruteforce", "--poly", "x^4+x^3+x", "--field", "F8"], ("0", "x+1")),
+    (["bruteforce", "--poly", "x^6+x^2+x", "--field", "F16"], ("0", "x^2+x")),
+    (["bruteforce", "--poly", "x^5+x^3+x", "--field", "F25"], ("1", "3")),
+    (["permcheck", "--poly", "x^5+x^2+3*x", "--field", "F7"], ("0", "2")),
+    (["permcheck", "--poly", "x^7+x^3+2*x", "--field", "F53"], ("4", "10")),
+    (["permcheck", "--poly", "x^4+x^2+x", "--field", "F64"], ("x^2+x", "x^3")),
+    (["analyze", "--poly", "x1^2+3*x2", "--vars", "2", "--field", "F7"],
+     (["0", "5"], ["1", "0"])),
+    (["analyze", "--poly", "x1^3+x1*x2^2+2*x2", "--vars", "2", "--field", "F11"],
+     (["0", "6"], ["1", "0"])),
+    (["analyze", "--poly", "x1^2+x2^2", "--vars", "2", "--field", "F4"],
+     (["0", "1"], ["1", "0"])),
+]
+
+
+@pytest.mark.parametrize("argv, pair", FINITE_FIELD_SCAN_PINS,
+                         ids=[" ".join(argv) for argv, _ in FINITE_FIELD_SCAN_PINS])
+def test_finite_field_scalar_witnesses_are_pinned(capsys, argv, pair):
+    witness = _report(capsys, argv)["verdict"]["witness"]
+    assert (witness["lhs"], witness["rhs"]) == pair
+
+
+SIMPLE_ROOTS_PINS = [
+    ("x^3+2*x", "F7", "2", "5", 2),
+    ("x^4+3*x^2+x", "F11", "1", "5", 2),
+    ("x^3+x^2+x", "F8", "1", "1", 3),
+    ("x^3+3*x", "F49", "x", "2*x", 2),
+]
+
+
+@pytest.mark.parametrize("poly, field, b, lam, k", SIMPLE_ROOTS_PINS)
+def test_simple_roots_violating_b_is_pinned(capsys, poly, field, b, lam, k):
+    extra = _report(capsys, ["simpleroots", "--poly", poly, "--field", field])["extra"]
+    assert (extra["b"], extra["lambda"], extra["multiplicity"]) == (b, lam, k)
