@@ -17,13 +17,20 @@ shipped report_schema.json; diagnostics go to stderr.
 Polynomial grammar: terms like "x^4+2*x+7" with explicit '*', rational
 coefficients like "3/4", unary minus, whitespace ignored; variables are x
 (univariate) or x1..xm (multivariate).  Matrix literals are row-major JSON
-arrays of coefficient strings, e.g. [["0","1/2"],["1","-1"]].
+arrays of coefficient strings, e.g. [["0","1/2"],["1","-1"]]; over F_{p^k}
+an entry is a polynomial in the generator x, e.g. "x+1".
+
+Reports print polynomials in the same grammar.  Over F_{p^k}, a coefficient
+outside the prime field F_p prints as its polynomial in the generator inside
+square brackets, so x + a for the generator a of F4 prints as "x+[x]" and
+(a+1)*x^2 as "[x+1]*x^2"; the parser reads no brackets.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -47,6 +54,7 @@ from .fields import (
     FieldSpec,
     PrimeField,
     Rationals,
+    _power,
     prime_power,
 )
 from .matrices import Matrix
@@ -107,7 +115,11 @@ def _tokenize(text: str):
 
 class _PolyParser:
     """Recursive descent over: expr := term (+- term)*; term := unary (* unary)*;
-    unary := - unary | atom [^ INT]; atom := rational | var | ( expr )."""
+    unary := - unary | atom [^ INT]; atom := rational | var | ( expr ).
+
+    Every subexpression is a sparse {exponent tuple: canonical value} map
+    with no zero values, combined through the spec's value hooks; parse()
+    boxes the one UniPoly (nvars None) or MultiPoly at the end."""
 
     def __init__(self, text: str, spec: FieldSpec, nvars: int | None):
         self.text = text
@@ -115,6 +127,8 @@ class _PolyParser:
         self.nvars = nvars
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.origin = (0,) * (1 if nvars is None else nvars)
+        self.zero = spec.zero().value
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -129,34 +143,64 @@ class _PolyParser:
         if kind != "OP" or val != op:
             raise ParseError(f"expected {op!r}", self.text, at)
 
-    def _constant(self, element: FieldElement):
-        if self.nvars is None:
-            return UniPoly.constant(self.spec, element)
-        return MultiPoly.constant(self.spec, self.nvars, element)
+    # -- sparse arithmetic on {exponents: value} ---------------------------
+    def _constant(self, value) -> dict:
+        return {self.origin: value} if value != self.zero else {}
 
-    def _variable(self, name: str, at: int):
+    def _sum(self, a: dict, b: dict) -> dict:
+        add, out = self.spec._add, dict(a)
+        for e, c in b.items():
+            c = add(out[e], c) if e in out else c
+            if c != self.zero:
+                out[e] = c
+            else:
+                del out[e]
+        return out
+
+    def _negated(self, a: dict) -> dict:
+        neg = self.spec._neg
+        return {e: neg(c) for e, c in a.items()}
+
+    def _product(self, a: dict, b: dict) -> dict:
+        add, mul, out = self.spec._add, self.spec._mul, {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(operator.add, e1, e2))
+                c = mul(c1, c2)
+                out[e] = add(out[e], c) if e in out else c
+        return {e: c for e, c in out.items() if c != self.zero}
+
+    def _variable(self, name: str, at: int) -> dict:
         if self.nvars is None:
             if name != "x":
                 raise ParseError(f"unknown variable {name!r}; univariate input uses x",
                                  self.text, at)
-            return UniPoly.x(self.spec)
-        if name == "x" and self.nvars >= 1:
-            return MultiPoly.variable(self.spec, self.nvars, 0)
-        if name.startswith("x") and name[1:].isdigit():
-            idx = _parse_int(name[1:], self.text, at)
-            if 1 <= idx <= self.nvars:
-                return MultiPoly.variable(self.spec, self.nvars, idx - 1)
-        raise ParseError(f"unknown variable {name!r}; expected x1..x{self.nvars}",
-                         self.text, at)
+            idx = 1
+        else:
+            idx = 1 if name == "x" else (
+                _parse_int(name[1:], self.text, at)
+                if name.startswith("x") and name[1:].isdigit() else 0)
+            if not 1 <= idx <= self.nvars:
+                raise ParseError(f"unknown variable {name!r}; expected x1..x{self.nvars}",
+                                 self.text, at)
+        exps = list(self.origin)
+        exps[idx - 1] = 1
+        return {tuple(exps): self.spec.one().value}
 
     def parse(self):
         if not self.tokens:
             raise ParseError("empty polynomial", self.text, 0)
-        value = self._expr()
+        terms = self._expr()
         kind, val, at = self._peek()
         if kind is not None:
             raise ParseError(f"unexpected token {val!r}", self.text, at)
-        return value
+        spec = self.spec
+        if self.nvars is None:
+            coeffs = [spec.zero()] * (max((e[0] for e in terms), default=-1) + 1)
+            for e, c in terms.items():
+                coeffs[e[0]] = FieldElement(spec, c)
+            return UniPoly(spec, coeffs)
+        return MultiPoly(spec, self.nvars, {e: FieldElement(spec, c) for e, c in terms.items()})
 
     def _expr(self):
         value = self._term()
@@ -165,7 +209,7 @@ class _PolyParser:
             if kind == "OP" and val in "+-":
                 self._next()
                 rhs = self._term()
-                value = value + rhs if val == "+" else value - rhs
+                value = self._sum(value, rhs if val == "+" else self._negated(rhs))
             else:
                 return value
 
@@ -175,7 +219,7 @@ class _PolyParser:
             kind, val, _ = self._peek()
             if kind == "OP" and val == "*":
                 self._next()
-                value = value * self._unary()
+                value = self._product(value, self._unary())
             else:
                 return value
 
@@ -183,7 +227,7 @@ class _PolyParser:
         kind, val, _ = self._peek()
         if kind == "OP" and val == "-":
             self._next()
-            return -self._unary()
+            return self._negated(self._unary())
         return self._power()
 
     def _power(self):
@@ -194,7 +238,12 @@ class _PolyParser:
             kind, val, at = self._next()
             if kind != "INT":
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
-            return base ** _parse_int(val, self.text, at)
+            e = _parse_int(val, self.text, at)
+            one = self.spec.one().value
+            if len(base) == 1:  # a monomial, such as x: raise its parts
+                (exps, c), = base.items()
+                return {tuple(e * k for k in exps): _power(c, one, e, self.spec._mul)}
+            return _power(base, self._constant(one), e, self._product)
         return base
 
     def _atom(self):
@@ -208,7 +257,7 @@ class _PolyParser:
                 if kind3 != "INT":
                     raise ParseError("denominator must be an integer", self.text, at3)
                 return self._rational(num, _parse_int(val3, self.text, at3), at)
-            return self._constant(self.spec.element(num))
+            return self._constant(self.spec.element(num).value)
         if kind == "NAME":
             return self._variable(val, at)
         if kind == "OP" and val == "(":
@@ -221,13 +270,13 @@ class _PolyParser:
         if isinstance(self.spec, Rationals):
             if den == 0:
                 raise ParseError("zero denominator", self.text, at)
-            return self._constant(self.spec.element(Fraction(num, den)))
+            return self._constant(Fraction(num, den))
         try:
-            inv = self.spec.element(den).inv()
+            inv = self.spec._inv(self.spec.element(den).value)
         except DivisionByZeroError:
             raise ParseError(f"denominator {den} is not invertible in {self.spec}",
                              self.text, at) from None
-        return self._constant(self.spec.element(num) * inv)
+        return self._constant(self.spec._mul(self.spec.element(num).value, inv))
 
 
 def parse_poly(text: str, spec: FieldSpec, nvars: int | None = None):

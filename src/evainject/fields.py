@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -289,9 +290,14 @@ class FieldSpec:
         return (FieldElement(self, v) for v in self.values())
 
     def element_from_index(self, i: int) -> "FieldElement":
-        raise InfiniteFieldError(f"{self} is not a finite field")
+        if not 0 <= i < self.order:
+            raise IndexError(i)
+        return FieldElement(self, self._value_from_index(i))
 
     # hooks implemented by concrete specs ----------------------------------
+    def _value_from_index(self, i: int):
+        raise NotImplementedError
+
     def _add(self, a, b):
         raise NotImplementedError
 
@@ -343,10 +349,8 @@ class PrimeField(FieldSpec):
     def values(self) -> Iterator[int]:
         return iter(range(self.p))
 
-    def element_from_index(self, i: int) -> "FieldElement":
-        if not 0 <= i < self.p:
-            raise IndexError(i)
-        return FieldElement(self, i)
+    def _value_from_index(self, i: int) -> int:
+        return i
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -429,14 +433,12 @@ class ExtensionField(FieldSpec):
         # its last place fastest, so each tuple is read backwards
         return (digits[::-1] for digits in itertools.product(range(self.p), repeat=self.k))
 
-    def element_from_index(self, i: int) -> "FieldElement":
-        if not 0 <= i < self.order:
-            raise IndexError(i)
+    def _value_from_index(self, i: int) -> tuple[int, ...]:
         digits = []
         for _ in range(self.k):
             digits.append(i % self.p)
             i //= self.p
-        return FieldElement(self, tuple(digits))
+        return tuple(digits)
 
     def _add(self, a, b):
         return tuple([(x + y) % self.p for x, y in zip(a, b)])
@@ -556,13 +558,15 @@ ACF = AlgClosedTag()
 RCF = RealClosedTag()
 
 
-def _power(base, result, e: int):
-    """result * base^e by repeated squaring; result is the ring's one."""
+def _power(base, result, e: int, mul=operator.mul):
+    """result * base^e by repeated squaring; result is the ring's one and
+    mul its product (operator.mul, or a product on canonical values)."""
     while e > 0:
         if e & 1:
-            result = result * base
-        base = base * base
+            result = mul(result, base)
         e >>= 1
+        if e:
+            base = mul(base, base)
     return result
 
 

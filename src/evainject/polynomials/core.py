@@ -18,7 +18,7 @@ from ..errors import (
     SpecMismatchError,
     ZeroPolynomialError,
 )
-from ..fields import FieldElement, FieldSpec, Rationals, _power
+from ..fields import ExtensionField, FieldElement, FieldSpec, Rationals, _power
 
 
 class UniPoly:
@@ -158,16 +158,6 @@ class UniPoly:
             return self
         return self.scale(self.leading.inv())
 
-    def powmod(self, e: int, mod: "UniPoly") -> "UniPoly":
-        result = UniPoly.constant(self.spec, self.spec.one()) % mod
-        base = self % mod
-        while e > 0:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
-
     # -- calculus and evaluation ----------------------------------------------
     def eval(self, a: FieldElement) -> FieldElement:
         """Horner evaluation."""
@@ -229,16 +219,18 @@ class UniPoly:
 
 def _term_str(c: FieldElement, body: str) -> str:
     """One printed term c*body (body "" for the constant term); negative
-    rationals keep their sign on the coefficient."""
+    rationals keep their sign on the coefficient.  A coefficient of F_{p^k}
+    outside F_p prints as its generator polynomial in brackets, "[x+1]",
+    which no variable x of the polynomial can be read into."""
     cs = str(c)
+    if isinstance(c.spec, ExtensionField) and any(c.value[1:]):
+        cs = f"[{cs}]"
     if not body:
-        return f"({cs})" if _needs_parens(cs) else cs
+        return cs
     if cs == "1":
         return body
     if cs == "-1":
         return "-" + body
-    if _needs_parens(cs):
-        return f"({cs})*{body}"
     return f"{cs}*{body}"
 
 
@@ -249,11 +241,6 @@ def _join_terms(parts: Iterable[str]) -> str:
     for p in parts[1:]:
         out += p if p.startswith("-") else "+" + p
     return out
-
-
-def _needs_parens(cs: str) -> bool:
-    # extension-field coefficients print as polynomials in the generator
-    return "+" in cs or ("-" in cs and not cs.startswith("-")) or "*" in cs or "^" in cs
 
 
 def gcd_poly(a: UniPoly, b: UniPoly) -> UniPoly:

@@ -1,17 +1,23 @@
 """Complete polynomial factorization and the (c, m, h, d) profile.
 
-Finite fields: squarefree decomposition (with the characteristic-p root
-extraction step when the derivative vanishes), then distinct-degree
-splitting, then randomized equal-degree splitting.  The factor list is
-sorted into a canonical order, so the output does not depend on the random
-path at all.
+Everything below runs on canonical values and plain ints; only the sorted
+output factors become UniPolys.
 
-Rationals: Yun squarefree decomposition, then for each squarefree part the
-classical lift-and-recombine method on the primitive integer polynomial:
-factor modulo a good prime, Hensel-lift the factors to a power of that
-prime exceeding twice the coefficient bound, and search factor subsets with
-trial division in Z[x].  Degree is capped at 16 and coefficients at 256
-bits; the inputs this package cares about are tiny.
+Finite fields: one path for F_p and F_{p^k}, on lists of canonical values
+through the spec's _add/_neg/_mul/_inv hooks (the _fq_* functions):
+squarefree decomposition (with the characteristic-p root extraction step
+when the derivative vanishes), then distinct-degree splitting, then
+equal-degree splitting (Cantor-Zassenhaus) seeded by a private constant.
+The factor list is sorted into a canonical order, so the output does not
+depend on the random path at all.
+
+Rationals: Yun's squarefree decomposition on the primitive integer
+polynomial (the _zx_* functions, gcds by primitive remainder sequences),
+then for each squarefree part the classical lift-and-recombine method:
+factor modulo a good prime with the finite-field path, Hensel-lift the
+factors to a power of that prime exceeding twice the coefficient bound, and
+search factor subsets with trial division in Z[x].  Degree is capped at 16
+and coefficients at 256 bits; the inputs this package cares about are tiny.
 
 factor_profile decomposes f as c + x^m * h with h(0) != 0, factors h, and
 records d, the least degree among the irreducible factors of h, plus the
@@ -36,15 +42,17 @@ from ..errors import (
     SymbolicFieldError,
 )
 from ..fields import (
+    QQ,
     FieldElement,
     FieldSpec,
     PrimeField,
     Rationals,
     _gf_trim,
     _gf_xgcd,
+    _power,
     is_prime,
 )
-from .core import UniPoly, gcd_poly, zero_multiplicity
+from .core import UniPoly, zero_multiplicity
 
 # Equal-degree splitting draws from Random(_SPLIT_SEED), made fresh per call.
 # Any value gives the same output: every split is a true factorization, the
@@ -55,117 +63,174 @@ COEFF_BIT_CAP = 256
 
 
 # ---------------------------------------------------------------------------
-# Finite fields
+# Finite fields, on lists of canonical values (ascending degree, trimmed)
+# through the spec's _add/_neg/_mul/_inv hooks: one path for F_p and F_{p^k}
 # ---------------------------------------------------------------------------
 
-def _pth_root_coeff(a: FieldElement) -> FieldElement:
-    # Frobenius is inverted by a -> a^(p^(k-1)); for F_p this is a itself.
-    spec = a.spec
-    k = getattr(spec, "k", 1)
-    if k == 1:
-        return a
-    return a ** (spec.characteristic ** (k - 1))
+def _fq_trim(a: list, zero) -> list:
+    while a and a[-1] == zero:
+        a.pop()
+    return a
 
 
-def _pth_root_poly(f: UniPoly) -> UniPoly:
-    """For f with f' = 0, return g with g(x^p) = f."""
-    p = f.spec.characteristic
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(_pth_root_coeff(f.coeffs[i]))
-    return UniPoly(f.spec, out)
+def _fq_add(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
+    add, zero = spec._add, spec.zero().value
+    out = list(a) + [zero] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return _fq_trim(out, zero)
 
 
-def _squarefree_finite(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Monic f over F_q -> coprime monic squarefree parts with multiplicities."""
-    p = f.spec.characteristic
-    out: list[tuple[UniPoly, int]] = []
-    fp = f.derivative()
-    if fp.is_zero():
-        for s, m in _squarefree_finite(_pth_root_poly(f)):
-            out.append((s, m * p))
-        return out
-    c = gcd_poly(f, fp)
-    w = f // c
-    i = 1
-    while w.degree > 0:
-        y = gcd_poly(w, c)
-        z = w // y
-        if z.degree > 0:
-            out.append((z.monic(), i))
-        w = y
-        c = c // y
-        i += 1
-    if c.degree > 0:
-        for s, m in _squarefree_finite(_pth_root_poly(c)):
-            out.append((s, m * p))
+def _fq_mul(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
+    if not a or not b:
+        return []
+    add, mul, zero = spec._add, spec._mul, spec.zero().value
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
     return out
 
 
-def _distinct_degree(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Squarefree monic f -> [(product of irreducibles of degree d, d)]."""
-    spec = f.spec
-    q = spec.order
-    x = UniPoly.x(spec)
-    out: list[tuple[UniPoly, int]] = []
-    h = x % f
-    i = 1
-    while f.degree >= 2 * i:
-        h = h.powmod(q, f)
-        g = gcd_poly(f, h - x)
-        if g.degree > 0:
-            out.append((g.monic(), i))
-            f = f // g
-            h = h % f
-        i += 1
-    if f.degree > 0:
-        out.append((f.monic(), f.degree))
-    return out
+def _fq_divmod(spec: FieldSpec, a: Sequence, b: Sequence) -> tuple[list, list]:
+    """(q, r) with a = q*b + r and deg r < deg b, for b nonzero."""
+    add, neg, mul, zero = spec._add, spec._neg, spec._mul, spec.zero().value
+    inv = spec._inv(b[-1])
+    db = len(b) - 1
+    r = list(a)
+    q = [zero] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = mul(r.pop(), inv)   # the top term cancels exactly
+        shift = len(r) - db
+        q[shift] = c
+        c = neg(c)
+        for i in range(db):
+            r[shift + i] = add(r[shift + i], mul(c, b[i]))
+        _fq_trim(r, zero)
+    return q, r
 
 
-def _random_nonconstant(spec: FieldSpec, below_degree: int, rng: Random) -> UniPoly:
-    q = spec.order
-    while True:
-        a = UniPoly(spec, [spec.element_from_index(rng.randrange(q))
-                           for _ in range(below_degree)])
-        if a.degree >= 1:
-            return a
+def _fq_monic(spec: FieldSpec, a: Sequence) -> list:
+    mul, inv = spec._mul, spec._inv(a[-1])
+    return [mul(c, inv) for c in a]
 
 
-def _equal_degree(f: UniPoly, d: int, rng: Random) -> list[UniPoly]:
-    """Split a squarefree product of degree-d irreducibles (Cantor-Zassenhaus)."""
-    if f.degree == d:
-        return [f.monic()]
-    spec = f.spec
-    q = spec.order
+def _fq_gcd(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _fq_divmod(spec, a, b)[1]
+    return _fq_monic(spec, a)
+
+
+def _fq_powmod(spec: FieldSpec, a: Sequence, e: int, mod: Sequence) -> list:
+    """a^e modulo mod, for mod of degree >= 1."""
+    return _power(_fq_divmod(spec, a, mod)[1], [spec.one().value], e,
+                  lambda u, v: _fq_divmod(spec, _fq_mul(spec, u, v), mod)[1])
+
+
+def _fq_derivative(spec: FieldSpec, a: Sequence) -> list:
+    add, mul, zero, one = spec._add, spec._mul, spec.zero().value, spec.one().value
+    out, i = [], zero
+    for c in a[1:]:
+        i = add(i, one)     # the integer i as a field value
+        out.append(mul(i, c))
+    return _fq_trim(out, zero)
+
+
+def _fq_pth_root(spec: FieldSpec, a: Sequence) -> list:
+    """g with g(x^p) = a, for a with a' = 0: Frobenius c -> c^p is inverted
+    on F_q by c -> c^(q/p), which is the identity on F_p."""
+    p, e, one = spec.characteristic, spec.order // spec.characteristic, spec.one().value
+    return [_power(c, one, e, spec._mul) for c in a[::p]]
+
+
+def _fq_squarefree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
+    """Monic f -> coprime monic squarefree parts with multiplicities.
+    Quotients of monic polynomials are monic, so no part needs rescaling."""
     p = spec.characteristic
+    fp = _fq_derivative(spec, f)
+    if not fp:
+        return [(s, m * p) for s, m in _fq_squarefree(spec, _fq_pth_root(spec, f))]
+    out: list[tuple[list, int]] = []
+    c = _fq_gcd(spec, f, fp)
+    w = _fq_divmod(spec, f, c)[0]
+    i = 1
+    while len(w) > 1:
+        y = _fq_gcd(spec, w, c)
+        z = _fq_divmod(spec, w, y)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w = y
+        c = _fq_divmod(spec, c, y)[0]
+        i += 1
+    if len(c) > 1:
+        out.extend((s, m * p) for s, m in _fq_squarefree(spec, _fq_pth_root(spec, c)))
+    return out
+
+
+def _fq_distinct_degree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
+    """Squarefree monic f -> [(product of its irreducible factors of degree d, d)]."""
+    q, zero, one = spec.order, spec.zero().value, spec.one().value
+    minus_x = [zero, spec._neg(one)]
+    out: list[tuple[list, int]] = []
+    h = _fq_divmod(spec, [zero, one], f)[1]
+    d = 1
+    while len(f) - 1 >= 2 * d:
+        h = _fq_powmod(spec, h, q, f)
+        g = _fq_gcd(spec, f, _fq_add(spec, h, minus_x))
+        if len(g) > 1:
+            out.append((g, d))
+            f = _fq_divmod(spec, f, g)[0]
+            h = _fq_divmod(spec, h, f)[1]
+        d += 1
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _fq_equal_degree(spec: FieldSpec, f: list, d: int, rng: Random) -> list[list]:
+    """Split a squarefree monic product of degree-d irreducibles (Cantor-Zassenhaus)."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    q, p, zero = spec.order, spec.characteristic, spec.zero().value
+    minus_one = [spec._neg(spec.one().value)]
     while True:
-        a = _random_nonconstant(spec, f.degree, rng)
-        g = gcd_poly(a, f)
-        if 0 < g.degree < f.degree:
-            pass  # lucky gcd split
-        elif p != 2:
-            b = a.powmod((q ** d - 1) // 2, f) - UniPoly.constant(spec, spec.one())
-            if b.is_zero():
+        a = _fq_trim([spec._value_from_index(rng.randrange(q)) for _ in range(n)], zero)
+        if len(a) < 2:
+            continue
+        g = _fq_gcd(spec, a, f)
+        if not 1 < len(g) <= n:   # no lucky gcd split
+            if p != 2:
+                b = _fq_add(spec, _fq_powmod(spec, a, (q ** d - 1) // 2, f), minus_one)
+            else:
+                # characteristic 2: the trace a + a^2 + ... + a^(2^(kd-1)) mod f
+                b = t = a
+                for _ in range((q.bit_length() - 1) * d - 1):
+                    t = _fq_divmod(spec, _fq_mul(spec, t, t), f)[1]
+                    b = _fq_add(spec, b, t)
+            if not b:
                 continue
-            g = gcd_poly(b, f)
-        else:
-            # characteristic 2: additive trace map over F_2
-            k = round(math.log2(q))
-            t = a
-            acc = a
-            for _ in range(k * d - 1):
-                t = (t * t) % f
-                acc = (acc + t) % f
-            if acc.is_zero():
-                continue
-            g = gcd_poly(acc, f)
-        if 0 < g.degree < f.degree:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+            g = _fq_gcd(spec, b, f)
+        if 1 < len(g) <= n:
+            return (_fq_equal_degree(spec, g, d, rng)
+                    + _fq_equal_degree(spec, _fq_divmod(spec, f, g)[0], d, rng))
 
 
-def _sorted_factors(factors: dict[UniPoly, int]) -> tuple[tuple[UniPoly, int], ...]:
-    return tuple(sorted(factors.items(), key=lambda item: item[0].sort_key()))
+def _fq_factor(spec: FieldSpec, f: list) -> list[tuple[tuple, int]]:
+    """Monic f of degree >= 1 over F_q -> its (monic irreducible, multiplicity)
+    pairs as value tuples, sorted by degree, then by coefficient sort keys."""
+    rng = Random(_SPLIT_SEED)
+    collected: dict[tuple, int] = {}
+    for part, mult in _fq_squarefree(spec, f):
+        for prod, d in _fq_distinct_degree(spec, part):
+            for irr in _fq_equal_degree(spec, prod, d, rng):
+                key = tuple(irr)
+                collected[key] = collected.get(key, 0) + mult
+    sort_key = spec._sort_key
+    return sorted(collected.items(),
+                  key=lambda item: (len(item[0]), [sort_key(c) for c in item[0]]))
 
 
 def factor_finite(f: UniPoly):
@@ -179,42 +244,10 @@ def factor_finite(f: UniPoly):
         raise SpecMismatchError("factor_finite needs a finite-field polynomial")
     if f.degree < 1:
         raise ConstantPolynomialError("cannot factor a constant polynomial")
-    rng = Random(_SPLIT_SEED)
-    unit = f.leading
-    collected: dict[UniPoly, int] = {}
-    for part, mult in _squarefree_finite(f.monic()):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
-                collected[irr] = collected.get(irr, 0) + mult
-    return unit, _sorted_factors(collected)
-
-
-# ---------------------------------------------------------------------------
-# Rationals: Yun squarefree decomposition
-# ---------------------------------------------------------------------------
-
-def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm over Q: monic squarefree s_i with f = lc * prod s_i^i."""
-    if not isinstance(f.spec, Rationals):
-        raise SpecMismatchError("squarefree decomposition over Q only")
-    if f.degree < 1:
-        raise ConstantPolynomialError("constant polynomial")
-    fm = f.monic()
-    a0 = gcd_poly(fm, fm.derivative())
-    if a0.degree == 0:
-        return [(fm, 1)]
-    out: list[tuple[UniPoly, int]] = []
-    b = fm // a0
-    d = (fm.derivative() // a0) - b.derivative()
-    i = 1
-    while b.degree > 0:
-        s = gcd_poly(b, d)
-        if s.degree > 0:
-            out.append((s.monic(), i))
-        b = b // s
-        d = (d // s) - b.derivative()
-        i += 1
-    return out
+    spec = f.spec
+    factors = _fq_factor(spec, _fq_monic(spec, [c.value for c in f.coeffs]))
+    return f.leading, tuple((UniPoly(spec, [FieldElement(spec, c) for c in q]), mult)
+                            for q, mult in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +335,80 @@ def _zx_try_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     return qr[0] if qr is not None and not qr[1] else None
 
 
+def _zx_derivative(a: Sequence[int]) -> list[int]:
+    return _gf_trim([i * a[i] for i in range(1, len(a))])
+
+
+def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient (primitive remainder
+    sequence: pseudo-division, then the primitive part of each remainder)."""
+    a, b = _zx_primitive(a), _zx_primitive(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for i, bi in enumerate(b):
+                r[shift + i] -= c * bi
+            _gf_trim(r)
+        a, b = b, _zx_primitive(r)
+    return a
+
+
+def _zx_from_rationals(f: UniPoly) -> list[int]:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of f over Q."""
+    den = math.lcm(*(c.value.denominator for c in f.coeffs))
+    return _zx_primitive([c.value.numerator * (den // c.value.denominator) for c in f.coeffs])
+
+
+def _zx_to_monic(a: Sequence[int]) -> UniPoly:
+    return UniPoly.from_ints(QQ, [Fraction(c, a[-1]) for c in a])
+
+
+# ---------------------------------------------------------------------------
+# Rationals: Yun squarefree decomposition on primitive Z[x] polynomials
+# ---------------------------------------------------------------------------
+
+def _zx_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a primitive f of degree >= 1 with positive leading
+    coefficient: the primitive squarefree parts s_i, positive leading
+    coefficients, with f = prod s_i^i.
+
+    Each division is exact in Z[x]: a primitive divisor over Q of an integer
+    polynomial divides it over Z (Gauss's lemma).
+    """
+    def exact(a, b):
+        quotient = _zx_try_div(a, b)
+        if quotient is None:
+            raise InternalInvariantError("inexact division in Yun's algorithm")
+        return quotient
+
+    df = _zx_derivative(f)
+    a0 = _zx_gcd(f, df)
+    b = exact(f, a0)
+    d = _zx_sub(exact(df, a0), _zx_derivative(b))
+    out: list[tuple[list[int], int]] = []
+    i = 1
+    while len(b) > 1:
+        s = _zx_gcd(b, d)
+        if len(s) > 1:
+            out.append((s, i))
+        b = exact(b, s)
+        d = _zx_sub(exact(d, s), _zx_derivative(b))
+        i += 1
+    return out
+
+
+def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Yun's algorithm over Q: monic squarefree s_i with f = lc * prod s_i^i."""
+    if not isinstance(f.spec, Rationals):
+        raise SpecMismatchError("squarefree decomposition over Q only")
+    if f.degree < 1:
+        raise ConstantPolynomialError("constant polynomial")
+    return [(_zx_to_monic(s), i) for s, i in _zx_squarefree(_zx_from_rationals(f))]
+
+
 # ---------------------------------------------------------------------------
 # Hensel lifting (quadratic, multifactor by divide and conquer)
 # ---------------------------------------------------------------------------
@@ -382,11 +489,10 @@ def _zassenhaus(s: list[int]) -> list[list[int]]:
     while p ** l <= 2 * bound:
         l += 1
     spec = PrimeField(p)
-    smod = UniPoly.from_ints(spec, [c % p for c in s]).monic()
-    _, modular_factors = factor_finite(smod)
+    modular_factors = _fq_factor(spec, _fq_monic(spec, [c % p for c in s]))
     if any(mult != 1 for _, mult in modular_factors):
         raise InternalInvariantError("repeated factor modulo a good prime")
-    modular = [[c.value for c in q.coeffs] for q, _ in modular_factors]
+    modular = [list(q) for q, _ in modular_factors]
     if len(modular) == 1:
         return [s]
     lifted = _hensel_lift(p, list(s), modular, l)
@@ -416,6 +522,10 @@ def _zassenhaus(s: list[int]) -> list[list[int]]:
     return out
 
 
+def _sorted_factors(factors: dict[UniPoly, int]) -> tuple[tuple[UniPoly, int], ...]:
+    return tuple(sorted(factors.items(), key=lambda item: item[0].sort_key()))
+
+
 def factor_rationals(f: UniPoly):
     """Factor f over Q into monic irreducibles times the leading unit.
 
@@ -429,19 +539,15 @@ def factor_rationals(f: UniPoly):
     if f.degree > DEGREE_CAP:
         raise DegreeCapExceededError(
             f"degree {f.degree} exceeds the factorization cap {DEGREE_CAP}")
-    spec = f.spec
-    unit = f.leading
     collected: dict[UniPoly, int] = {}
-    for part, mult in squarefree_decomposition(f):
-        den = math.lcm(*(c.value.denominator for c in part.coeffs))
-        ints = _zx_primitive([int(c.value * den) for c in part.coeffs])
-        if max(abs(c) for c in ints).bit_length() > COEFF_BIT_CAP:
+    for part, mult in _zx_squarefree(_zx_from_rationals(f)):
+        if max(abs(c) for c in part).bit_length() > COEFF_BIT_CAP:
             raise CoefficientCapExceededError(
                 f"coefficients exceed {COEFF_BIT_CAP} bits after clearing denominators")
-        for g in _zassenhaus(ints):
-            monic = UniPoly.from_ints(spec, [Fraction(c, g[-1]) for c in g])
+        for g in _zassenhaus(part):
+            monic = _zx_to_monic(g)
             collected[monic] = collected.get(monic, 0) + mult
-    return unit, _sorted_factors(collected)
+    return f.leading, _sorted_factors(collected)
 
 
 # ---------------------------------------------------------------------------

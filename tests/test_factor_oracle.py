@@ -1,0 +1,158 @@
+"""Factoring against independent oracles.
+
+factor_finite over F_p and factor_rationals over Q are compared with the
+installed sympy's factor_list (modulus=p, and over QQ) on hypothesis-drawn
+polynomials, squares of random factors mixed in so that multiplicities
+above one and characteristic-p derivatives that vanish both occur.  Over
+F4, F8 and F9, where sympy has no counterpart, the factors must rebuild the
+input, and those of degree 2 or 3 must have no root in the field (so they
+are irreducible).  factor_profile is pinned on a fixed list.
+"""
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evainject import (
+    QQ,
+    ExtensionField,
+    PrimeField,
+    UniPoly,
+    factor_finite,
+    factor_profile,
+    factor_rationals,
+)
+from evainject.cli import parse_field, parse_poly
+
+BOUNDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+X = sympy.Symbol("x")
+
+
+def _sympy_expr(f: UniPoly):
+    return sum(sympy.Rational(c.value.numerator, c.value.denominator) * X ** i
+               for i, c in enumerate(f.coeffs))
+
+
+@st.composite
+def _factored(draw, spec, entries, nonzero, p_th_power):
+    """A drawn f, times the square of a drawn factor or, over F_p with small
+    p, times the p-th power of one (whose derivative vanishes), or not."""
+    def draw_poly(max_size):
+        return UniPoly.from_ints(spec, draw(st.lists(entries, max_size=max_size))
+                                 + [draw(nonzero)])
+    f = draw_poly(9)
+    power = draw(st.sampled_from([1, 2] + ([spec.characteristic] if p_th_power else [])))
+    return f * draw_poly(2) ** power if power > 1 else f
+
+
+@st.composite
+def finite_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 43]))
+    return draw(_factored(PrimeField(p), st.integers(0, p - 1), st.integers(1, p - 1), p <= 7))
+
+
+rational_entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+rational_inputs = _factored(QQ, rational_entries, rational_entries.filter(bool), False)
+
+
+def _as_dict(factors):
+    return {tuple(c.value for c in q.coeffs): e for q, e in factors}
+
+
+@BOUNDED
+@given(finite_inputs())
+def test_factor_finite_matches_sympy(f):
+    p = f.spec.characteristic
+    if f.degree < 1:
+        return
+    unit, factors = factor_finite(f)
+    _, expected = sympy.factor_list(_sympy_expr(f), X, modulus=p)
+    oracle = {}
+    for g, e in expected:
+        ints = [int(c) % p for c in sympy.Poly(g, X).all_coeffs()[::-1]]
+        inv = pow(ints[-1], -1, p)
+        oracle[tuple(c * inv % p for c in ints)] = e
+    assert _as_dict(factors) == oracle
+    assert unit == f.leading
+
+
+@BOUNDED
+@given(rational_inputs)
+def test_factor_rationals_matches_sympy(f):
+    if f.degree < 1:
+        return
+    unit, factors = factor_rationals(f)
+    _, expected = sympy.factor_list(_sympy_expr(f), X)
+    oracle = {}
+    for g, e in expected:
+        ints = [int(c) for c in sympy.Poly(g, X).all_coeffs()[::-1]]
+        oracle[tuple(Fraction(c, ints[-1]) for c in ints)] = e
+    assert _as_dict(factors) == oracle
+    assert unit == f.leading
+
+
+@BOUNDED
+@given(st.sampled_from([ExtensionField.from_order(q) for q in (4, 8, 9)]), st.data())
+def test_factor_finite_extension_factors_are_irreducible(spec, data):
+    indices = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=2, max_size=7))
+    f = UniPoly(spec, [spec.element_from_index(i) for i in indices])
+    if f.degree < 1:
+        return
+    if data.draw(st.booleans()):
+        f = f * f
+    unit, factors = factor_finite(f)
+    rebuilt = UniPoly.constant(spec, unit)
+    for q, e in factors:
+        rebuilt = rebuilt * q ** e
+        assert q.is_monic()
+        if 2 <= q.degree <= 3:
+            assert not any(q.eval(a).is_zero() for a in spec.elements())
+    assert rebuilt == f
+    assert len({q for q, _ in factors}) == len(factors)
+
+
+# (field, f) -> (c, m, h, unit, d, chosen_q, factors), as printed
+PROFILES = [
+    ("Q", "x^4+2*x", ("0", 1, "x^3+2", "1", 3, "x^3+2", [("x^3+2", 1)])),
+    ("Q", "x^9-40*x^7+352*x^5-960*x^3+576*x",
+     ("0", 1, "x^8-40*x^6+352*x^4-960*x^2+576", "1", 8, "x^8-40*x^6+352*x^4-960*x^2+576",
+      [("x^8-40*x^6+352*x^4-960*x^2+576", 1)])),
+    ("Q", "3*x^16+7*x^15+5*x^14+2*x^13+x^11-4*x^10-8*x^9-7*x^8+3",
+     ("3", 8, "3*x^8+7*x^7+5*x^6+2*x^5+x^3-4*x^2-8*x-7", "3", 8,
+      "x^8+7/3*x^7+5/3*x^6+2/3*x^5+1/3*x^3-4/3*x^2-8/3*x-7/3",
+      [("x^8+7/3*x^7+5/3*x^6+2/3*x^5+1/3*x^3-4/3*x^2-8/3*x-7/3", 1)])),
+    ("Q", "x^7-x", ("0", 1, "x^6-1", "1", 1, "x-1",
+                    [("x-1", 1), ("x+1", 1), ("x^2-x+1", 1), ("x^2+x+1", 1)])),
+    ("Q", "2*(x^2-1)^3*(x+3)+5",
+     ("-1", 1, "2*x^6+6*x^5-6*x^4-18*x^3+6*x^2+18*x-2", "2", 6,
+      "x^6+3*x^5-3*x^4-9*x^3+3*x^2+9*x-1", [("x^6+3*x^5-3*x^4-9*x^3+3*x^2+9*x-1", 1)])),
+    ("Q", "1/2*x^5-3/4*x^3", ("0", 3, "1/2*x^2-3/4", "1/2", 2, "x^2-3/2", [("x^2-3/2", 1)])),
+    ("F2", "x^8+x^4+x^2+x", ("0", 1, "x^7+x^3+x+1", "1", 1, "x+1",
+                             [("x+1", 1), ("x^2+x+1", 1), ("x^4+x+1", 1)])),
+    ("F3", "x^9+x^3+x+1", ("1", 1, "x^8+x^2+1", "1", 1, "x+1",
+                           [("x+1", 1), ("x+2", 1), ("x^3+2*x+1", 1), ("x^3+2*x+2", 1)])),
+    ("F5", "(x^2+2)^5*(x+1)^2*x", ("0", 1, "x^12+2*x^11+x^10+2*x^2+4*x+2", "1", 1, "x+1",
+                                   [("x+1", 2), ("x^2+2", 5)])),
+    ("F53", "x^16+3*x^9+5*x+7",
+     ("7", 1, "x^15+3*x^8+5", "1", 1, "x+38",
+      [("x+38", 1), ("x^14+15*x^13+13*x^12+36*x^11+10*x^10+44*x^9+24*x^8+45*x^7+39*x^6"
+                     "+2*x^5+30*x^4+26*x^3+19*x^2+20*x+35", 1)])),
+    ("F4", "x^3+x^2+x", ("0", 1, "x^2+x+1", "1", 1, "x+[x]", [("x+[x]", 1), ("x+[x+1]", 1)])),
+    ("F8", "x^7+x^3+x", ("0", 1, "x^6+x^2+1", "1", 1, "x+[x]",
+                         [("x+[x]", 2), ("x+[x^2]", 2), ("x+[x^2+x]", 2)])),
+    ("F9", "x^8+x^4+2*x^2+x", ("0", 1, "x^7+x^3+2*x+1", "1", 1, "x+1",
+                               [("x+1", 4), ("x^3+2*x^2+x+1", 1)])),
+    ("F16", "x^15+x", ("0", 1, "x^14+1", "1", 1, "x+1",
+                       [("x+1", 2), ("x^3+x^2+1", 2), ("x^3+x+1", 2)])),
+    ("F27", "(x^3+x+1)^3*x^2+2", ("2", 2, "x^9+x^3+1", "1", 1, "x+2",
+                                  [("x+2", 3), ("x^2+x+2", 3)])),
+]
+
+
+def test_factor_profile_fixed_expectations():
+    for field, text, expected in PROFILES:
+        p = factor_profile(parse_poly(text, parse_field(field)))
+        got = (str(p.c), p.m_mult, str(p.h), str(p.unit), p.d, str(p.chosen_q),
+               [(str(q), e) for q, e in p.factors])
+        assert got == expected, (field, text)

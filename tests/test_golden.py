@@ -125,6 +125,8 @@ CASES = [
     ["analyze", "--poly", "1/2*x1^2-1/3*x2^3", "--field", "Q", "--vars", "2", "--height", "3"],
     ["analyze", "--poly", "x1*x2*x3+1/2*x1", "--field", "Q", "--vars", "3", "--height", "1"],
     ["analyze", "--poly", "x1-x1", "--field", "Q", "--vars", "2", "--height", "1"],
+    # a printed F_{p^k} coefficient outside F_p is bracketed: chosen_q x+[x], not x+x
+    ["matrix", "--poly", "x^3+x^2+x", "--field", "F4", "--n", "2"],
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from evainject import (
     QQ,
+    ExtensionField,
     MultiPoly,
     PrimeField,
     UniPoly,
@@ -20,13 +21,19 @@ from evainject.errors import (
     SpecMismatchError,
     ZeroPolynomialError,
 )
+from evainject.polynomials.factor import _fq_powmod
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F9 = ExtensionField(3, [1, 0, 1])
 
 U = UniPoly.from_ints
+
+
+def _values(f):
+    return [c.value for c in f.coeffs]
 
 
 def _random_poly(spec, rng, max_deg):
@@ -139,14 +146,16 @@ def test_rational_roots():
 
 
 def test_powmod_matches_pow():
+    # the value-level powmod of the finite-field factoriser
     rng = random.Random(9)
-    for _ in range(40):
-        f = _random_poly(F5, rng, 4)
-        mod = _random_poly(F5, rng, 3)
-        if mod.degree < 1:
-            continue
-        e = rng.randint(0, 12)
-        assert f.powmod(e, mod) == (f ** e) % mod
+    for spec in (F5, F9):
+        for _ in range(40):
+            f = _random_poly(spec, rng, 4)
+            mod = _random_poly(spec, rng, 3)
+            if mod.degree < 1:
+                continue
+            e = rng.randint(0, 12)
+            assert _fq_powmod(spec, _values(f), e, _values(mod)) == _values((f ** e) % mod)
 
 
 def test_printer_basics():
@@ -154,6 +163,17 @@ def test_printer_basics():
     assert str(U(QQ, [0])) == "0"
     assert str(U(QQ, [Fraction(-3, 4), 1])) == "x-3/4"
     assert U(QQ, [7, 2, 0, 0, 1]).format(descending=False) == "7+2*x+x^4"
+
+
+def test_printer_brackets_extension_coefficients():
+    # the generator prints as x, like the polynomial's variable, so a
+    # coefficient outside the prime field goes in brackets: x + a is not x+x
+    a = F9.element([0, 1])
+    assert str(UniPoly(F9, [a, F9.one()])) == "x+[x]"
+    assert str(UniPoly(F9, [F9.zero(), a])) == "[x]*x"
+    assert str(UniPoly(F9, [a + 1, F9.element(2), 2 * a + 1])) == "[2*x+1]*x^2+2*x+[x+1]"
+    assert str(MultiPoly(F9, 2, {(1, 1): a, (0, 0): F9.element(2)})) == "[x]*x1*x2+2"
+    assert str(U(F9, [1, 2, 1])) == str(U(F3, [1, 2, 1])) == "x^2+2*x+1"
 
 
 def test_multipoly_eval_examples():
