@@ -16,9 +16,10 @@ shipped report_schema.json; diagnostics go to stderr.
 
 Polynomial grammar: terms like "x^4+2*x+7" with explicit '*', rational
 coefficients like "3/4", unary minus, whitespace ignored; variables are x
-(univariate) or x1..xm (multivariate).  Matrix literals are row-major JSON
-arrays of coefficient strings, e.g. [["0","1/2"],["1","-1"]]; over F_{p^k}
-an entry is a polynomial in the generator x, e.g. "x+1".
+(univariate, degree at most MAX_UNIVARIATE_DEGREE) or x1..xm
+(multivariate).  Matrix literals are row-major JSON arrays of coefficient
+strings, e.g. [["0","1/2"],["1","-1"]]; over F_{p^k} an entry is a
+polynomial in the generator x, e.g. "x+1".
 
 Reports print polynomials in the same grammar.  Over F_{p^k}, a coefficient
 outside the prime field F_p prints as its polynomial in the generator inside
@@ -66,6 +67,9 @@ from .polynomials import FactorProfile, MultiPoly, UniPoly
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()/")
+# A univariate result becomes one dense coefficient list, so its degree is
+# capped: x^(10^8) alone would take gigabytes of list slots.
+MAX_UNIVARIATE_DEGREE = 10**7
 
 
 def _parse_int(digits: str, text: str, at: int) -> int:
@@ -196,7 +200,11 @@ class _PolyParser:
             raise ParseError(f"unexpected token {val!r}", self.text, at)
         spec = self.spec
         if self.nvars is None:
-            coeffs = [spec.zero()] * (max((e[0] for e in terms), default=-1) + 1)
+            degree = max((e[0] for e in terms), default=-1)
+            if degree > MAX_UNIVARIATE_DEGREE:
+                raise ParseError(f"degree {degree} exceeds the univariate cap "
+                                 f"{MAX_UNIVARIATE_DEGREE}", self.text, 0)
+            coeffs = [spec.zero()] * (degree + 1)
             for e, c in terms.items():
                 coeffs[e[0]] = FieldElement(spec, c)
             return UniPoly(spec, coeffs)
@@ -239,11 +247,7 @@ class _PolyParser:
             if kind != "INT":
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
             e = _parse_int(val, self.text, at)
-            one = self.spec.one().value
-            if len(base) == 1:  # a monomial, such as x: raise its parts
-                (exps, c), = base.items()
-                return {tuple(e * k for k in exps): _power(c, one, e, self.spec._mul)}
-            return _power(base, self._constant(one), e, self._product)
+            return _power(base, self._constant(self.spec.one().value), e, self._product)
         return base
 
     def _atom(self):

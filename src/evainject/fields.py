@@ -90,9 +90,9 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 # ---------------------------------------------------------------------------
 # Dense F_p[x] arithmetic on plain int lists (ascending degree, trimmed).
-# The package's one int-list F_p[x] kernel: extension-field element
-# arithmetic, the irreducibility certificate for a defining modulus, and the
-# modular gcds of the rational factoriser in polynomials/factor.py use it.
+# Extension-field element arithmetic and the irreducibility certificate for
+# a defining modulus use it; polynomials/factor.py runs its own F_q[x]
+# arithmetic on canonical values through the spec hooks.
 # ---------------------------------------------------------------------------
 
 def _gf_trim(a: list[int]) -> list[int]:

@@ -47,8 +47,6 @@ from ..fields import (
     FieldSpec,
     PrimeField,
     Rationals,
-    _gf_trim,
-    _gf_xgcd,
     _power,
     is_prime,
 )
@@ -121,6 +119,20 @@ def _fq_gcd(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
     while b:
         a, b = b, _fq_divmod(spec, a, b)[1]
     return _fq_monic(spec, a)
+
+
+def _fq_xgcd(spec: FieldSpec, a: Sequence, b: Sequence) -> tuple[list, list, list]:
+    """(g, s, t) with s*a + t*b = g, g the monic gcd of a and b, not both zero."""
+    neg, one = spec._neg, spec.one().value
+    r0, r1, s0, s1, t0, t1 = list(a), list(b), [one], [], [], [one]
+    while r1:
+        q, r = _fq_divmod(spec, r0, r1)
+        minus_q = [neg(c) for c in q]
+        r0, r1 = r1, r
+        s0, s1 = s1, _fq_add(spec, s0, _fq_mul(spec, minus_q, s1))
+        t0, t1 = t1, _fq_add(spec, t0, _fq_mul(spec, minus_q, t1))
+    mul, inv = spec._mul, spec._inv(r0[-1])
+    return tuple([mul(c, inv) for c in v] for v in (r0, s0, t0))
 
 
 def _fq_powmod(spec: FieldSpec, a: Sequence, e: int, mod: Sequence) -> list:
@@ -266,13 +278,13 @@ def _zx_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _gf_trim(out)
+    return _fq_trim(out, 0)
 
 
 def _zx_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
-    return _gf_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                     for i in range(n)])
+    return _fq_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n)], 0)
 
 
 def _zx_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -281,7 +293,7 @@ def _zx_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _zx_primitive(a: Sequence[int]) -> list[int]:
     """Primitive part with positive leading coefficient."""
-    a = _gf_trim(list(a))
+    a = _fq_trim(list(a), 0)
     if not a:
         return []
     g = 0
@@ -301,7 +313,7 @@ def _trunc_sym(a: Sequence[int], m: int) -> list[int]:
         if c > half:
             c -= m
         out.append(c)
-    return _gf_trim(out)
+    return _fq_trim(out, 0)
 
 
 def _zp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
@@ -315,7 +327,7 @@ def _zx_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]
     Long division fixes q from the top down, so that step rules out any
     quotient in Z[x]; a monic b always divides.
     """
-    r = _gf_trim(list(a))
+    r = _fq_trim(list(a), 0)
     q = [0] * max(len(r) - len(b) + 1, 0)
     while len(r) >= len(b):
         c, rest = divmod(r[-1], b[-1])
@@ -325,8 +337,8 @@ def _zx_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]
         q[shift] = c
         for i, bi in enumerate(b):
             r[shift + i] -= c * bi
-        _gf_trim(r)
-    return _gf_trim(q), r
+        _fq_trim(r, 0)
+    return _fq_trim(q, 0), r
 
 
 def _zx_try_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
@@ -336,7 +348,7 @@ def _zx_try_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
 
 
 def _zx_derivative(a: Sequence[int]) -> list[int]:
-    return _gf_trim([i * a[i] for i in range(1, len(a))])
+    return _fq_trim([i * a[i] for i in range(1, len(a))], 0)
 
 
 def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -350,7 +362,7 @@ def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
             r = [b[-1] * x for x in r]
             for i, bi in enumerate(b):
                 r[shift + i] -= c * bi
-            _gf_trim(r)
+            _fq_trim(r, 0)
         a, b = b, _zx_primitive(r)
     return a
 
@@ -448,7 +460,7 @@ def _hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list
     h = _trunc_sym(modular[k], p)
     for fk in modular[k + 1:]:
         h = _zp_mul(h, fk, p)
-    one, s, t = _gf_xgcd([c % p for c in g], [c % p for c in h], p)
+    one, s, t = _fq_xgcd(PrimeField(p), [c % p for c in g], [c % p for c in h])
     if one != [1]:
         raise InternalInvariantError("modular factors are not coprime")
     s, t = _trunc_sym(s, p), _trunc_sym(t, p)
@@ -468,9 +480,9 @@ def _good_prime(s: list[int]) -> int:
     p = 3
     while p < 100_000:
         if is_prime(p) and lc % p != 0:
-            smod = _gf_trim([c % p for c in s])
-            dmod = _gf_trim([(i * s[i]) % p for i in range(1, len(s))])
-            if dmod and len(_gf_xgcd(smod, dmod, p)[0]) == 1:
+            smod = _fq_trim([c % p for c in s], 0)
+            dmod = _fq_trim([(i * s[i]) % p for i in range(1, len(s))], 0)
+            if dmod and len(_fq_gcd(PrimeField(p), smod, dmod)) == 1:
                 return p
         p += 2
     raise InternalInvariantError("no usable prime below 100000")

@@ -115,6 +115,29 @@ def test_cli_pigeonhole_answers_a_huge_exponent_promptly(capsys):
     assert (witness["lhs"], witness["rhs"]) == (["0", "1"], ["1", "0"])
 
 
+def test_cli_refuses_a_huge_univariate_degree_promptly(capsys):
+    # x^(10^8) is one sparse term while parsing, but a UniPoly is dense:
+    # the degree cap refuses it before the coefficient list is built
+    result = {}
+    argv = ["analyze", "--poly", "x^100000000", "--field", "F7"]
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "the parser did not refuse within 2 s"
+    assert result["code"] == 64
+    assert "exceeds the univariate cap" in capsys.readouterr().err
+
+
+def test_univariate_degree_cap_covers_every_polynomial_entry_point():
+    assert parse_poly("x^10000001-x^10000001+x^2", QQ) == UniPoly.from_ints(QQ, [0, 0, 1])
+    with pytest.raises(ParseError, match="univariate cap"):
+        parse_poly("(x^10000)^1001", F5)
+    with pytest.raises(ParseError, match="univariate cap"):
+        parse_field("F4:modulus=x^100000000")
+    with pytest.raises(ParseError, match="univariate cap"):
+        parse_matrix('[["x^100000000"]]', parse_field("F9"))
+
+
 def test_cli_rational_search_stops_at_first_collision_promptly(capsys):
     # The height-2000 grid has billions of points; x^2 collides at (-1, 1)
     # within its first 2,002, so the scan must not build the grid first.
