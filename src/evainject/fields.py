@@ -89,90 +89,87 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Dense F_p[x] arithmetic on plain int lists (ascending degree, trimmed).
-# Extension-field element arithmetic and the irreducibility certificate for
-# a defining modulus use it; polynomials/factor.py runs its own F_q[x]
-# arithmetic on canonical values through the spec hooks.
+# Dense F[x] arithmetic on lists of canonical values (ascending degree,
+# trimmed) through a spec's _add/_neg/_mul/_inv hooks: one kernel for F_p
+# (plain int lists), F_{p^k} and Q.  Extension-field canonical forms and
+# inverses, the Rabin test below, factoring (polynomials/factor.py) and
+# UniPoly's product, division and gcds all run on it.
 # ---------------------------------------------------------------------------
 
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
+def _poly_trim(a: list, zero) -> list:
+    while a and a[-1] == zero:
         a.pop()
     return a
 
 
-def _gf_add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-    return _gf_trim(out)
+def _poly_add(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
+    add, zero = spec._add, spec.zero().value
+    out = list(a) + [zero] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return _poly_trim(out, zero)
 
 
-def _gf_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-    return _gf_trim(out)
-
-
-def _gf_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def _poly_mul(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _gf_trim(out)
+    add, mul, zero = spec._add, spec._mul, spec.zero().value
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
 
 
-def _gf_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise DivisionByZeroError("polynomial division by zero")
-    r = list(a)
-    _gf_trim(r)
+def _poly_divmod(spec: FieldSpec, a: Sequence, b: Sequence) -> tuple[list, list]:
+    """(q, r) with a = q*b + r and deg r < deg b, for a trimmed and b nonzero."""
+    add, neg, mul, zero = spec._add, spec._neg, spec._mul, spec.zero().value
+    inv = spec._inv(b[-1])
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        coeff = (r[-1] * inv_lead) % p
-        q[shift] = coeff
-        for i in range(db + 1):
-            r[shift + i] = (r[shift + i] - coeff * b[i]) % p
-        _gf_trim(r)
-    return _gf_trim(q), r
+    r = list(a)
+    q = [zero] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = mul(r.pop(), inv)   # the top term cancels exactly
+        shift = len(r) - db
+        q[shift] = c
+        c = neg(c)
+        for i in range(db):
+            r[shift + i] = add(r[shift + i], mul(c, b[i]))
+        _poly_trim(r, zero)
+    return q, r
 
 
-def _gf_xgcd(a: Sequence[int], b: Sequence[int], p: int):
-    """Return (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
+def _poly_monic(spec: FieldSpec, a: Sequence) -> list:
+    mul, inv = spec._mul, spec._inv(a[-1])
+    return [mul(c, inv) for c in a]
+
+
+def _poly_gcd(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _poly_divmod(spec, a, b)[1]
+    return _poly_monic(spec, a)
+
+
+def _poly_xgcd(spec: FieldSpec, a: Sequence, b: Sequence) -> tuple[list, list, list]:
+    """(g, s, t) with s*a + t*b = g, g the monic gcd of a and b, not both zero."""
+    neg, one = spec._neg, spec.one().value
+    r0, r1, s0, s1, t0, t1 = list(a), list(b), [one], [], [], [one]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _poly_divmod(spec, r0, r1)
+        minus_q = [neg(c) for c in q]
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
-    if r0:
-        inv_lead = pow(r0[-1], p - 2, p)
-        scale = lambda v: [(c * inv_lead) % p for c in v]
-        return scale(r0), scale(s0), scale(t0)
-    return r0, s0, t0
+        s0, s1 = s1, _poly_add(spec, s0, _poly_mul(spec, minus_q, s1))
+        t0, t1 = t1, _poly_add(spec, t0, _poly_mul(spec, minus_q, t1))
+    mul, inv = spec._mul, spec._inv(r0[-1])
+    return tuple([mul(c, inv) for c in v] for v in (r0, s0, t0))
 
 
-def _gf_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _gf_divmod(a, mod, p)[1]
-    while e > 0:
-        if e & 1:
-            result = _gf_divmod(_gf_mul(result, base, p), mod, p)[1]
-        base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+def _poly_powmod(spec: FieldSpec, a: Sequence, e: int, mod: Sequence) -> list:
+    """a^e modulo mod, for mod of degree >= 1."""
+    return _power(_poly_divmod(spec, a, mod)[1], [spec.one().value], e,
+                  lambda u, v: _poly_divmod(spec, _poly_mul(spec, u, v), mod)[1])
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -195,12 +192,12 @@ def _gf_is_irreducible(m: Sequence[int], p: int) -> bool:
     k = len(m) - 1
     if k < 1:
         return False
-    x = [0, 1]
+    spec, x, minus_x = PrimeField(p), [0, 1], [0, p - 1]
     for ell in _prime_divisors(k):
-        h = _gf_sub(_gf_powmod(x, p ** (k // ell), m, p), x, p)
-        if len(_gf_xgcd(h, m, p)[0]) != 1:
+        h = _poly_add(spec, _poly_powmod(spec, x, p ** (k // ell), m), minus_x)
+        if len(_poly_gcd(spec, h, m)) != 1:
             return False
-    return _gf_sub(_gf_powmod(x, p ** k, m, p), x, p) == []
+    return not _poly_add(spec, _poly_powmod(spec, x, p ** k, m), minus_x)
 
 
 def _gf_poly_str(coeffs: Sequence[int], var: str = "x") -> str:
@@ -389,7 +386,7 @@ class ExtensionField(FieldSpec):
 
     def __new__(cls, p: int, modulus: Sequence[int]):
         PrimeField(p)  # checks p once per process
-        mod = tuple(_gf_trim([c % p for c in modulus]))
+        mod = tuple(_poly_trim([c % p for c in modulus], 0))
         key = (cls, p, mod)
         field = _FIELDS.get(key)
         if field is None:
@@ -416,7 +413,9 @@ class ExtensionField(FieldSpec):
         return self.p
 
     def _canon(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        reduced = _gf_divmod([c % self.p for c in coeffs], list(self.modulus), self.p)[1]
+        p = self.p
+        reduced = _poly_divmod(PrimeField(p), _poly_trim([c % p for c in coeffs], 0),
+                               self.modulus)[1]
         return tuple(reduced) + (0,) * (self.k - len(reduced))
 
     def element(self, value) -> "FieldElement":
@@ -463,10 +462,10 @@ class ExtensionField(FieldSpec):
         return tuple([c % p for c in prod[:k]])
 
     def _inv(self, a):
-        va = _gf_trim(list(a))
+        va = _poly_trim(list(a), 0)
         if not va:
             raise DivisionByZeroError(f"0 is not invertible in {self}")
-        g, s, _ = _gf_xgcd(va, list(self.modulus), self.p)
+        g, s, _ = _poly_xgcd(PrimeField(self.p), va, self.modulus)
         if len(g) != 1:
             raise InvalidFieldError("modulus is not irreducible")  # unreachable
         return self._canon(s)
@@ -475,7 +474,7 @@ class ExtensionField(FieldSpec):
         return sum(c * self.p ** i for i, c in enumerate(a))
 
     def _format(self, a) -> str:
-        return _gf_poly_str(_gf_trim(list(a)))
+        return _gf_poly_str(_poly_trim(list(a), 0))
 
     def __repr__(self):
         return f"F{self.order}:modulus={_gf_poly_str(self.modulus)}"

@@ -1,9 +1,11 @@
 """Exact univariate and multivariate polynomial algebra.
 
 core   : UniPoly / MultiPoly arithmetic, gcd and Bezout certificates,
-         zero multiplicity, rational root extraction
-factor : complete factorization over finite fields and over Q, and the
-         (c, m, h, d) decomposition profile driving the matrix engine
+         zero multiplicity, rational root extraction; UniPoly products,
+         division and gcds run on the F[x] kernel of fields.py
+factor : complete factorization over finite fields (on the same kernel)
+         and over Q, and the (c, m, h, d) decomposition profile driving
+         the matrix engine
 sturm  : exact real root counting and strict monotonicity on the real line
 """
 

@@ -1,9 +1,11 @@
 """Dense univariate and sparse multivariate polynomials over a FieldSpec.
 
 UniPoly stores ascending-degree coefficients with trailing zeros stripped;
-the zero polynomial has an empty coefficient tuple and degree -1.  MultiPoly
-stores a sparse map from exponent tuples to nonzero coefficients.  All
-arithmetic is exact.
+the zero polynomial has an empty coefficient tuple and degree -1.  Products,
+division and gcds run on the coefficients' canonical values through the
+F[x] kernel of fields.py (fields._poly_*) and box only their results.
+MultiPoly stores a sparse map from exponent tuples to nonzero coefficients.
+All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -18,7 +20,17 @@ from ..errors import (
     SpecMismatchError,
     ZeroPolynomialError,
 )
-from ..fields import ExtensionField, FieldElement, FieldSpec, Rationals, _power
+from ..fields import (
+    ExtensionField,
+    FieldElement,
+    FieldSpec,
+    Rationals,
+    _poly_divmod,
+    _poly_gcd,
+    _poly_mul,
+    _poly_xgcd,
+    _power,
+)
 
 
 class UniPoly:
@@ -104,15 +116,7 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.spec)
-        out = [self.spec.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.spec, out)
+        return _boxed(self.spec, _poly_mul(self.spec, _values(self), _values(other)))
 
     def scale(self, c: FieldElement) -> "UniPoly":
         return UniPoly(self.spec, [c * a for a in self.coeffs])
@@ -130,19 +134,8 @@ class UniPoly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZeroError("polynomial division by zero")
-        q = [self.spec.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        r = list(self.coeffs)
-        inv_lead = other.leading.inv()
-        db = other.degree
-        while len(r) - 1 >= db:
-            shift = len(r) - 1 - db
-            c = r[-1] * inv_lead
-            q[shift] = c
-            for i in range(db + 1):
-                r[shift + i] = r[shift + i] - c * other.coeffs[i]
-            while r and r[-1].is_zero():
-                r.pop()
-        return UniPoly(self.spec, q), UniPoly(self.spec, r)
+        q, r = _poly_divmod(self.spec, _values(self), _values(other))
+        return _boxed(self.spec, q), _boxed(self.spec, r)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[0]
@@ -217,6 +210,15 @@ class UniPoly:
         return f"UniPoly({self.spec}, {self})"
 
 
+def _values(f: UniPoly) -> list:
+    return [c.value for c in f.coeffs]
+
+
+def _boxed(spec: FieldSpec, values: Sequence) -> UniPoly:
+    """The UniPoly with these canonical coefficient values."""
+    return UniPoly(spec, [FieldElement(spec, v) for v in values])
+
+
 def _term_str(c: FieldElement, body: str) -> str:
     """One printed term c*body (body "" for the constant term); negative
     rationals keep their sign on the coefficient.  A coefficient of F_{p^k}
@@ -249,9 +251,7 @@ def gcd_poly(a: UniPoly, b: UniPoly) -> UniPoly:
         raise SpecMismatchError("gcd of polynomials over different fields")
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return _boxed(a.spec, _poly_gcd(a.spec, _values(a), _values(b)))
 
 
 def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
@@ -264,19 +264,7 @@ def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
         raise SpecMismatchError("gcd of polynomials over different fields")
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
-    spec = a.spec
-    one = UniPoly.constant(spec, spec.one())
-    zero = UniPoly.zero(spec)
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lead_inv = r0.leading.inv()
-    return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
+    return tuple(_boxed(a.spec, v) for v in _poly_xgcd(a.spec, _values(a), _values(b)))
 
 
 def zero_multiplicity(f: UniPoly) -> tuple[int, UniPoly]:

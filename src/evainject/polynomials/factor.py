@@ -3,8 +3,8 @@
 Everything below runs on canonical values and plain ints; only the sorted
 output factors become UniPolys.
 
-Finite fields: one path for F_p and F_{p^k}, on lists of canonical values
-through the spec's _add/_neg/_mul/_inv hooks (the _fq_* functions):
+Finite fields: one path for F_p and F_{p^k}, the _fq_* functions, on lists
+of canonical values through the F[x] kernel of fields.py (fields._poly_*):
 squarefree decomposition (with the characteristic-p root extraction step
 when the derivative vanishes), then distinct-degree splitting, then
 equal-degree splitting (Cantor-Zassenhaus) seeded by a private constant.
@@ -47,10 +47,18 @@ from ..fields import (
     FieldSpec,
     PrimeField,
     Rationals,
+    _poly_add,
+    _poly_divmod,
+    _poly_gcd,
+    _poly_monic,
+    _poly_mul,
+    _poly_powmod,
+    _poly_trim,
+    _poly_xgcd,
     _power,
     is_prime,
 )
-from .core import UniPoly, zero_multiplicity
+from .core import UniPoly, _boxed, zero_multiplicity
 
 # Equal-degree splitting draws from Random(_SPLIT_SEED), made fresh per call.
 # Any value gives the same output: every split is a true factorization, the
@@ -62,84 +70,8 @@ COEFF_BIT_CAP = 256
 
 # ---------------------------------------------------------------------------
 # Finite fields, on lists of canonical values (ascending degree, trimmed)
-# through the spec's _add/_neg/_mul/_inv hooks: one path for F_p and F_{p^k}
+# through the fields._poly_* kernel: one path for F_p and F_{p^k}
 # ---------------------------------------------------------------------------
-
-def _fq_trim(a: list, zero) -> list:
-    while a and a[-1] == zero:
-        a.pop()
-    return a
-
-
-def _fq_add(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
-    add, zero = spec._add, spec.zero().value
-    out = list(a) + [zero] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = add(out[i], c)
-    return _fq_trim(out, zero)
-
-
-def _fq_mul(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
-    if not a or not b:
-        return []
-    add, mul, zero = spec._add, spec._mul, spec.zero().value
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != zero:
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
-    return out
-
-
-def _fq_divmod(spec: FieldSpec, a: Sequence, b: Sequence) -> tuple[list, list]:
-    """(q, r) with a = q*b + r and deg r < deg b, for b nonzero."""
-    add, neg, mul, zero = spec._add, spec._neg, spec._mul, spec.zero().value
-    inv = spec._inv(b[-1])
-    db = len(b) - 1
-    r = list(a)
-    q = [zero] * max(len(r) - db, 0)
-    while len(r) > db:
-        c = mul(r.pop(), inv)   # the top term cancels exactly
-        shift = len(r) - db
-        q[shift] = c
-        c = neg(c)
-        for i in range(db):
-            r[shift + i] = add(r[shift + i], mul(c, b[i]))
-        _fq_trim(r, zero)
-    return q, r
-
-
-def _fq_monic(spec: FieldSpec, a: Sequence) -> list:
-    mul, inv = spec._mul, spec._inv(a[-1])
-    return [mul(c, inv) for c in a]
-
-
-def _fq_gcd(spec: FieldSpec, a: Sequence, b: Sequence) -> list:
-    """Monic gcd of a and b, not both zero."""
-    while b:
-        a, b = b, _fq_divmod(spec, a, b)[1]
-    return _fq_monic(spec, a)
-
-
-def _fq_xgcd(spec: FieldSpec, a: Sequence, b: Sequence) -> tuple[list, list, list]:
-    """(g, s, t) with s*a + t*b = g, g the monic gcd of a and b, not both zero."""
-    neg, one = spec._neg, spec.one().value
-    r0, r1, s0, s1, t0, t1 = list(a), list(b), [one], [], [], [one]
-    while r1:
-        q, r = _fq_divmod(spec, r0, r1)
-        minus_q = [neg(c) for c in q]
-        r0, r1 = r1, r
-        s0, s1 = s1, _fq_add(spec, s0, _fq_mul(spec, minus_q, s1))
-        t0, t1 = t1, _fq_add(spec, t0, _fq_mul(spec, minus_q, t1))
-    mul, inv = spec._mul, spec._inv(r0[-1])
-    return tuple([mul(c, inv) for c in v] for v in (r0, s0, t0))
-
-
-def _fq_powmod(spec: FieldSpec, a: Sequence, e: int, mod: Sequence) -> list:
-    """a^e modulo mod, for mod of degree >= 1."""
-    return _power(_fq_divmod(spec, a, mod)[1], [spec.one().value], e,
-                  lambda u, v: _fq_divmod(spec, _fq_mul(spec, u, v), mod)[1])
-
 
 def _fq_derivative(spec: FieldSpec, a: Sequence) -> list:
     add, mul, zero, one = spec._add, spec._mul, spec.zero().value, spec.one().value
@@ -147,7 +79,7 @@ def _fq_derivative(spec: FieldSpec, a: Sequence) -> list:
     for c in a[1:]:
         i = add(i, one)     # the integer i as a field value
         out.append(mul(i, c))
-    return _fq_trim(out, zero)
+    return _poly_trim(out, zero)
 
 
 def _fq_pth_root(spec: FieldSpec, a: Sequence) -> list:
@@ -165,16 +97,16 @@ def _fq_squarefree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
     if not fp:
         return [(s, m * p) for s, m in _fq_squarefree(spec, _fq_pth_root(spec, f))]
     out: list[tuple[list, int]] = []
-    c = _fq_gcd(spec, f, fp)
-    w = _fq_divmod(spec, f, c)[0]
+    c = _poly_gcd(spec, f, fp)
+    w = _poly_divmod(spec, f, c)[0]
     i = 1
     while len(w) > 1:
-        y = _fq_gcd(spec, w, c)
-        z = _fq_divmod(spec, w, y)[0]
+        y = _poly_gcd(spec, w, c)
+        z = _poly_divmod(spec, w, y)[0]
         if len(z) > 1:
             out.append((z, i))
         w = y
-        c = _fq_divmod(spec, c, y)[0]
+        c = _poly_divmod(spec, c, y)[0]
         i += 1
     if len(c) > 1:
         out.extend((s, m * p) for s, m in _fq_squarefree(spec, _fq_pth_root(spec, c)))
@@ -186,15 +118,15 @@ def _fq_distinct_degree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
     q, zero, one = spec.order, spec.zero().value, spec.one().value
     minus_x = [zero, spec._neg(one)]
     out: list[tuple[list, int]] = []
-    h = _fq_divmod(spec, [zero, one], f)[1]
+    h = _poly_divmod(spec, [zero, one], f)[1]
     d = 1
     while len(f) - 1 >= 2 * d:
-        h = _fq_powmod(spec, h, q, f)
-        g = _fq_gcd(spec, f, _fq_add(spec, h, minus_x))
+        h = _poly_powmod(spec, h, q, f)
+        g = _poly_gcd(spec, f, _poly_add(spec, h, minus_x))
         if len(g) > 1:
             out.append((g, d))
-            f = _fq_divmod(spec, f, g)[0]
-            h = _fq_divmod(spec, h, f)[1]
+            f = _poly_divmod(spec, f, g)[0]
+            h = _poly_divmod(spec, h, f)[1]
         d += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
@@ -209,25 +141,25 @@ def _fq_equal_degree(spec: FieldSpec, f: list, d: int, rng: Random) -> list[list
     q, p, zero = spec.order, spec.characteristic, spec.zero().value
     minus_one = [spec._neg(spec.one().value)]
     while True:
-        a = _fq_trim([spec._value_from_index(rng.randrange(q)) for _ in range(n)], zero)
+        a = _poly_trim([spec._value_from_index(rng.randrange(q)) for _ in range(n)], zero)
         if len(a) < 2:
             continue
-        g = _fq_gcd(spec, a, f)
+        g = _poly_gcd(spec, a, f)
         if not 1 < len(g) <= n:   # no lucky gcd split
             if p != 2:
-                b = _fq_add(spec, _fq_powmod(spec, a, (q ** d - 1) // 2, f), minus_one)
+                b = _poly_add(spec, _poly_powmod(spec, a, (q ** d - 1) // 2, f), minus_one)
             else:
                 # characteristic 2: the trace a + a^2 + ... + a^(2^(kd-1)) mod f
                 b = t = a
                 for _ in range((q.bit_length() - 1) * d - 1):
-                    t = _fq_divmod(spec, _fq_mul(spec, t, t), f)[1]
-                    b = _fq_add(spec, b, t)
+                    t = _poly_divmod(spec, _poly_mul(spec, t, t), f)[1]
+                    b = _poly_add(spec, b, t)
             if not b:
                 continue
-            g = _fq_gcd(spec, b, f)
+            g = _poly_gcd(spec, b, f)
         if 1 < len(g) <= n:
             return (_fq_equal_degree(spec, g, d, rng)
-                    + _fq_equal_degree(spec, _fq_divmod(spec, f, g)[0], d, rng))
+                    + _fq_equal_degree(spec, _poly_divmod(spec, f, g)[0], d, rng))
 
 
 def _fq_factor(spec: FieldSpec, f: list) -> list[tuple[tuple, int]]:
@@ -257,9 +189,8 @@ def factor_finite(f: UniPoly):
     if f.degree < 1:
         raise ConstantPolynomialError("cannot factor a constant polynomial")
     spec = f.spec
-    factors = _fq_factor(spec, _fq_monic(spec, [c.value for c in f.coeffs]))
-    return f.leading, tuple((UniPoly(spec, [FieldElement(spec, c) for c in q]), mult)
-                            for q, mult in factors)
+    factors = _fq_factor(spec, _poly_monic(spec, [c.value for c in f.coeffs]))
+    return f.leading, tuple((_boxed(spec, q), mult) for q, mult in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +209,12 @@ def _zx_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _fq_trim(out, 0)
+    return _poly_trim(out, 0)
 
 
 def _zx_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
-    return _fq_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+    return _poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                      for i in range(n)], 0)
 
 
@@ -293,7 +224,7 @@ def _zx_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _zx_primitive(a: Sequence[int]) -> list[int]:
     """Primitive part with positive leading coefficient."""
-    a = _fq_trim(list(a), 0)
+    a = _poly_trim(list(a), 0)
     if not a:
         return []
     g = 0
@@ -313,7 +244,7 @@ def _trunc_sym(a: Sequence[int], m: int) -> list[int]:
         if c > half:
             c -= m
         out.append(c)
-    return _fq_trim(out, 0)
+    return _poly_trim(out, 0)
 
 
 def _zp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
@@ -327,7 +258,7 @@ def _zx_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]
     Long division fixes q from the top down, so that step rules out any
     quotient in Z[x]; a monic b always divides.
     """
-    r = _fq_trim(list(a), 0)
+    r = _poly_trim(list(a), 0)
     q = [0] * max(len(r) - len(b) + 1, 0)
     while len(r) >= len(b):
         c, rest = divmod(r[-1], b[-1])
@@ -337,8 +268,8 @@ def _zx_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]
         q[shift] = c
         for i, bi in enumerate(b):
             r[shift + i] -= c * bi
-        _fq_trim(r, 0)
-    return _fq_trim(q, 0), r
+        _poly_trim(r, 0)
+    return _poly_trim(q, 0), r
 
 
 def _zx_try_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
@@ -348,7 +279,7 @@ def _zx_try_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
 
 
 def _zx_derivative(a: Sequence[int]) -> list[int]:
-    return _fq_trim([i * a[i] for i in range(1, len(a))], 0)
+    return _poly_trim([i * a[i] for i in range(1, len(a))], 0)
 
 
 def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -362,7 +293,7 @@ def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
             r = [b[-1] * x for x in r]
             for i, bi in enumerate(b):
                 r[shift + i] -= c * bi
-            _fq_trim(r, 0)
+            _poly_trim(r, 0)
         a, b = b, _zx_primitive(r)
     return a
 
@@ -460,7 +391,7 @@ def _hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list
     h = _trunc_sym(modular[k], p)
     for fk in modular[k + 1:]:
         h = _zp_mul(h, fk, p)
-    one, s, t = _fq_xgcd(PrimeField(p), [c % p for c in g], [c % p for c in h])
+    one, s, t = _poly_xgcd(PrimeField(p), [c % p for c in g], [c % p for c in h])
     if one != [1]:
         raise InternalInvariantError("modular factors are not coprime")
     s, t = _trunc_sym(s, p), _trunc_sym(t, p)
@@ -480,9 +411,9 @@ def _good_prime(s: list[int]) -> int:
     p = 3
     while p < 100_000:
         if is_prime(p) and lc % p != 0:
-            smod = _fq_trim([c % p for c in s], 0)
-            dmod = _fq_trim([(i * s[i]) % p for i in range(1, len(s))], 0)
-            if dmod and len(_fq_gcd(PrimeField(p), smod, dmod)) == 1:
+            smod = _poly_trim([c % p for c in s], 0)
+            dmod = _poly_trim([(i * s[i]) % p for i in range(1, len(s))], 0)
+            if dmod and len(_poly_gcd(PrimeField(p), smod, dmod)) == 1:
                 return p
         p += 2
     raise InternalInvariantError("no usable prime below 100000")
@@ -501,7 +432,7 @@ def _zassenhaus(s: list[int]) -> list[list[int]]:
     while p ** l <= 2 * bound:
         l += 1
     spec = PrimeField(p)
-    modular_factors = _fq_factor(spec, _fq_monic(spec, [c % p for c in s]))
+    modular_factors = _fq_factor(spec, _poly_monic(spec, [c % p for c in s]))
     if any(mult != 1 for _, mult in modular_factors):
         raise InternalInvariantError("repeated factor modulo a good prime")
     modular = [list(q) for q, _ in modular_factors]

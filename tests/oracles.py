@@ -3,9 +3,12 @@
 These deliberately avoid the library's own algorithms: the characteristic
 polynomial comes from cofactor expansion (the minimal polynomial uses
 Krylov elimination), factorization comes from trial division over all
-monic polynomials (the library uses distinct/equal-degree splitting), and
-injectivity comes from complete image scans.  elements_built counts the
-FieldElements a call builds, for the tests that keep scans on values.
+monic polynomials (the library uses distinct/equal-degree splitting),
+injectivity comes from complete image scans, and polynomial products,
+long division, Euclid and extended Euclid run on boxed FieldElements (the
+library runs them on canonical values, fields._poly_*).  elements_built
+counts the FieldElements a call builds, for the tests that keep work on
+values.
 """
 from __future__ import annotations
 
@@ -29,6 +32,66 @@ def monic_polys(spec, degree):
         yield UniPoly(spec, list(coeffs) + [spec.one()])
 
 
+def boxed_mul(a, b):
+    """a * b by the schoolbook product on FieldElements."""
+    spec = a.spec
+    if a.is_zero() or b.is_zero():
+        return UniPoly.zero(spec)
+    out = [spec.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return UniPoly(spec, out)
+
+
+def boxed_divmod(a, b):
+    """(q, r) with a = q*b + r, deg r < deg b, by long division on
+    FieldElements; b nonzero."""
+    spec = a.spec
+    q = [spec.zero()] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    r = list(a.coeffs)
+    inv_lead = b.leading.inv()
+    while len(r) - 1 >= b.degree:
+        shift = len(r) - 1 - b.degree
+        c = r[-1] * inv_lead
+        q[shift] = c
+        for i, bi in enumerate(b.coeffs):
+            r[shift + i] = r[shift + i] - c * bi
+        while r and r[-1].is_zero():
+            r.pop()
+    return UniPoly(spec, q), UniPoly(spec, r)
+
+
+def boxed_gcd(a, b):
+    """Monic gcd of a and b, not both zero, by Euclid on FieldElements."""
+    while not b.is_zero():
+        a, b = b, boxed_divmod(a, b)[1]
+    return a.monic()
+
+
+def boxed_xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g, g the monic gcd of a and b, not both
+    zero, by extended Euclid on FieldElements."""
+    spec = a.spec
+    one, zero = UniPoly.constant(spec, spec.one()), UniPoly.zero(spec)
+    r0, r1, u0, u1, v0, v1 = a, b, one, zero, zero, one
+    while not r1.is_zero():
+        q, r = boxed_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - boxed_mul(q, u1)
+        v0, v1 = v1, v0 - boxed_mul(q, v1)
+    lead_inv = r0.leading.inv()
+    return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
+
+
+def boxed_powmod(a, e, mod):
+    """a^e modulo mod (deg mod >= 1) by e boxed products and divisions."""
+    result = UniPoly.constant(a.spec, a.spec.one())
+    for _ in range(e):
+        result = boxed_divmod(boxed_mul(result, a), mod)[1]
+    return result
+
+
 def trial_division_factor(f):
     """Factor a finite-field polynomial by dividing out monic polynomials
     in ascending degree order; only irreducibles survive the sweep."""
@@ -40,7 +103,7 @@ def trial_division_factor(f):
         for p in monic_polys(f.spec, d):
             count = 0
             while g.degree >= p.degree:
-                q, r = divmod(g, p)
+                q, r = boxed_divmod(g, p)
                 if not r.is_zero():
                     break
                 g = q

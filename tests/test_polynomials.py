@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import boxed_powmod, elements_built
 
 from evainject import (
     QQ,
@@ -21,7 +22,7 @@ from evainject.errors import (
     SpecMismatchError,
     ZeroPolynomialError,
 )
-from evainject.polynomials.factor import _fq_powmod
+from evainject.fields import _poly_powmod
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -114,6 +115,20 @@ def test_divmod_random():
             assert r.is_zero() or r.degree < b.degree
 
 
+def test_unipoly_arithmetic_boxes_only_its_output(monkeypatch):
+    # products, division and gcds run on canonical values: a call builds a
+    # FieldElement for each output coefficient and none on the way
+    rng = random.Random(12)
+    for spec in (PrimeField(53), QQ):
+        a = U(spec, [1] + [rng.randint(-9, 9) for _ in range(11)] + [3])
+        b = U(spec, [1] * 7 + [2])
+        for call in (lambda: (a * b,), lambda: divmod(a, b),
+                     lambda: (gcd_poly(a, b),), lambda: extended_gcd(a, b)):
+            call()  # the spec's cached zero and one exist from here on
+            out, built = elements_built(monkeypatch, call)
+            assert built <= sum(len(f.coeffs) for f in out)
+
+
 def test_zero_multiplicity():
     assert zero_multiplicity(U(QQ, [0, 2, 0, 0, 1])) == (1, U(QQ, [2, 0, 0, 1]))
     assert zero_multiplicity(U(QQ, [0, 0, 0, 1])) == (3, U(QQ, [1]))
@@ -146,7 +161,8 @@ def test_rational_roots():
 
 
 def test_powmod_matches_pow():
-    # the value-level powmod of the finite-field factoriser
+    # the value-level powmod of the F[x] kernel, against e boxed products
+    # and divisions (f ** e % mod would run on the kernel itself)
     rng = random.Random(9)
     for spec in (F5, F9):
         for _ in range(40):
@@ -155,7 +171,8 @@ def test_powmod_matches_pow():
             if mod.degree < 1:
                 continue
             e = rng.randint(0, 12)
-            assert _fq_powmod(spec, _values(f), e, _values(mod)) == _values((f ** e) % mod)
+            assert _poly_powmod(spec, _values(f), e, _values(mod)) == _values(
+                boxed_powmod(f, e, mod))
 
 
 def test_printer_basics():
