@@ -68,6 +68,7 @@ from .fields import (
 )
 from .matrices import (
     Matrix,
+    _boxed as _boxed_matrix,
     block_embed,
     companion,
     jordan_nilpotent_embed,
@@ -259,7 +260,7 @@ def _evaluate(f, point):
 
 def verify_witness(f, lhs, rhs) -> Witness:
     """Check lhs != rhs and f(lhs) = f(rhs); return the verified Witness."""
-    if type(lhs) is not type(rhs):
+    if type(lhs) is not type(rhs) or (isinstance(lhs, Matrix) and lhs.n != rhs.n):
         raise NotAWitnessError("witness sides have different shapes")
     if lhs == rhs:
         raise NotAWitnessError("witness sides are equal")
@@ -449,8 +450,8 @@ def _matrix_image(f: UniPoly, n: int):
 
 
 def _matrix_box(spec: FieldSpec, n: int):
-    """The Matrix of a flat row-major value tuple."""
-    return lambda a: Matrix.from_rows(spec, [a[i * n:(i + 1) * n] for i in range(n)])
+    """The Matrix of a flat row-major tuple of canonical values."""
+    return lambda a: _boxed_matrix(spec, n, a)
 
 
 def search_matrix_collisions(f: UniPoly, n: int, height: int,

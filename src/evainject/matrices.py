@@ -7,6 +7,11 @@ with a single 1 in the upper-right of the leading 2 x 2 block, block
 embedding A -> A + 0, the minimal polynomial by the first linear dependence
 among I, A, A^2, ... over the n^2-dimensional matrix space, and the
 row-major flatten / unflatten bijections between matrices and vectors.
+
+Products, sums, scaling and polynomial evaluation run on the entries'
+canonical values through the spec's _add/_neg/_mul hooks, reading each
+right-hand factor as sparse columns of nonzero entries, and box only the
+resulting matrix.
 """
 from __future__ import annotations
 
@@ -38,8 +43,8 @@ class Matrix:
             raise LengthMismatchError("entries must form a square n x n grid")
         for row in rows:
             for e in row:
-                if e.spec != spec:
-                    raise SpecMismatchError("entry from a different field")
+                if not isinstance(e, FieldElement) or e.spec != spec:
+                    raise SpecMismatchError(f"entry {e!r} is not an element of {spec}")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
@@ -70,39 +75,35 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.spec, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)])
+        add = self.spec._add
+        return _boxed(self.spec, self.n,
+                      [add(x, y) for x, y in zip(_values(self), _values(other))])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.spec, [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)])
+        add, neg = self.spec._add, self.spec._neg
+        return _boxed(self.spec, self.n,
+                      [add(x, neg(y)) for x, y in zip(_values(self), _values(other))])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.spec, [[-a for a in row] for row in self.entries])
+        neg = self.spec._neg
+        return _boxed(self.spec, self.n, [neg(x) for x in _values(self)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        n = self.n
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = self.spec.zero()
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.spec, out)
+        spec, n = self.spec, self.n
+        zero = spec.zero().value
+        return _boxed(spec, n, _product(spec, n, _values(self), _columns(other), zero))
 
     def scale(self, c: FieldElement) -> "Matrix":
-        return Matrix(self.spec, [[c * a for a in row] for row in self.entries])
+        if not isinstance(c, FieldElement) or c.spec != self.spec:
+            raise SpecMismatchError(f"scalar {c!r} is not an element of {self.spec}")
+        mul, v = self.spec._mul, c.value
+        return _boxed(self.spec, self.n, [mul(v, x) for x in _values(self)])
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
+        zero = self.spec.zero().value
+        return all(e.value == zero for row in self.entries for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -121,15 +122,57 @@ class Matrix:
         return f"Matrix({self.spec}, {self})"
 
 
+def _values(a: Matrix) -> list:
+    """a's canonical entry values, flat and row-major."""
+    return [e.value for row in a.entries for e in row]
+
+
+def _boxed(spec: FieldSpec, n: int, values: Sequence) -> Matrix:
+    """The n x n Matrix of a flat row-major sequence of canonical values of
+    spec; builds one FieldElement per entry and checks nothing else."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "spec", spec)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "entries", tuple(
+        tuple([FieldElement(spec, v) for v in values[i:i + n]])
+        for i in range(0, n * n, n)))
+    return m
+
+
+def _columns(b: Matrix) -> list[list[tuple[int, object]]]:
+    """Each column of b as its (row index, value) pairs of nonzero entries."""
+    zero = b.spec.zero().value
+    return [[(k, row[j].value) for k, row in enumerate(b.entries) if row[j].value != zero]
+            for j in range(b.n)]
+
+
+def _product(spec: FieldSpec, n: int, a: Sequence, columns: list, c) -> list:
+    """Flat row-major values of a * b + c * I, for a flat row-major and b
+    given by _columns; each entry costs one product per nonzero in b's column."""
+    add, mul, zero = spec._add, spec._mul, spec.zero().value
+    out = []
+    for i in range(n):
+        row = i * n
+        for j, column in enumerate(columns):
+            entry = c if i == j else zero
+            for k, y in column:
+                entry = add(entry, mul(a[row + k], y))
+            out.append(entry)
+    return out
+
+
 def mat_poly_eval(f: UniPoly, a: Matrix) -> Matrix:
     """Evaluate f at a matrix by Horner; the constant term becomes c * I."""
     if f.spec != a.spec:
         raise SpecMismatchError("polynomial and matrix over different fields")
-    acc = Matrix.zeros(a.spec, a.n)
-    identity = Matrix.identity(a.spec, a.n)
-    for c in reversed(f.coeffs):
-        acc = acc * a + identity.scale(c)
-    return acc
+    spec, n = a.spec, a.n
+    zero = spec.zero().value
+    lead, *rest = [c.value for c in reversed(f.coeffs)] or [zero]
+    acc = [lead if i == j else zero for i in range(n) for j in range(n)]
+    columns = _columns(a)
+    for c in rest:  # acc = acc * a + c * I
+        acc = _product(spec, n, acc, columns, c)
+    return _boxed(spec, n, acc)
 
 
 def companion(q: UniPoly) -> Matrix:

@@ -3,7 +3,8 @@
 UniPoly stores ascending-degree coefficients with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -1.  Products,
 division and gcds run on the coefficients' canonical values through the
-F[x] kernel of fields.py (fields._poly_*) and box only their results.
+F[x] kernel of fields.py (fields._poly_*), and evaluation and the shift
+f(x + b) run on values through the spec's hooks; each boxes only its result.
 MultiPoly stores a sparse map from exponent tuples to nonzero coefficients.
 All arithmetic is exact.
 """
@@ -25,6 +26,7 @@ from ..fields import (
     FieldElement,
     FieldSpec,
     Rationals,
+    _poly_add,
     _poly_divmod,
     _poly_gcd,
     _poly_mul,
@@ -153,16 +155,20 @@ class UniPoly:
 
     # -- calculus and evaluation ----------------------------------------------
     def eval(self, a: FieldElement) -> FieldElement:
-        """Horner evaluation."""
+        """Horner evaluation on canonical values; boxes only the result."""
+        spec = self.spec
         if isinstance(a, FieldElement):
-            if a.spec != self.spec:
+            if a.spec != spec:
                 raise SpecMismatchError("evaluation point from a different field")
         else:
-            a = self.spec.element(a)
-        acc = self.coeffs[-1] if self.coeffs else self.spec.zero()
+            a = spec.element(a)
+        if not self.coeffs:
+            return spec.zero()
+        add, mul, x = spec._add, spec._mul, a.value
+        acc = self.coeffs[-1].value
         for c in self.coeffs[-2::-1]:
-            acc = acc * a + c
-        return acc
+            acc = add(mul(acc, x), c.value)
+        return FieldElement(spec, acc)
 
     def __call__(self, a) -> FieldElement:
         return self.eval(a)
@@ -175,12 +181,15 @@ class UniPoly:
         )
 
     def compose_shift(self, b: FieldElement) -> "UniPoly":
-        """Return f(x + b)."""
-        x_plus_b = UniPoly(self.spec, [b, self.spec.one()])
-        acc = UniPoly.zero(self.spec)
+        """Return f(x + b), by Horner on coefficient values."""
+        spec = self.spec
+        if b.spec != spec:
+            raise SpecMismatchError("shift from a different field")
+        x_plus_b = [b.value, spec.one().value]
+        acc = []
         for c in reversed(self.coeffs):
-            acc = acc * x_plus_b + UniPoly.constant(self.spec, c)
-        return acc
+            acc = _poly_add(spec, _poly_mul(spec, acc, x_plus_b), [c.value])
+        return _boxed(spec, acc)
 
     # -- comparison and printing ----------------------------------------------
     def __eq__(self, other):
@@ -411,20 +420,24 @@ class MultiPoly:
         return _power(self, MultiPoly.constant(self.spec, self.m, self.spec.one()), e)
 
     def eval(self, point: Sequence[FieldElement]) -> FieldElement:
+        """Evaluation on canonical values; boxes only the result."""
         if len(point) != self.m:
             raise ArityMismatchError(
                 f"point has {len(point)} coordinates, polynomial has {self.m} variables")
+        spec = self.spec
         for a in point:
-            if a.spec != self.spec:
+            if a.spec != spec:
                 raise SpecMismatchError("evaluation point from a different field")
-        acc = self.spec.zero()
+        add, mul = spec._add, spec._mul
+        xs = [a.value for a in point]
+        acc = spec.zero().value
         for exps, c in self.terms.items():
-            term = c
-            for a, e in zip(point, exps):
+            term = c.value
+            for x, e in zip(xs, exps):
                 if e:
-                    term = term * a ** e
-            acc = acc + term
-        return acc
+                    term = _power(x, term, e, mul)  # term * x^e
+            acc = add(acc, term)
+        return FieldElement(spec, acc)
 
     def __call__(self, point) -> FieldElement:
         return self.eval(tuple(point))

@@ -5,10 +5,12 @@ polynomial comes from cofactor expansion (the minimal polynomial uses
 Krylov elimination), factorization comes from trial division over all
 monic polynomials (the library uses distinct/equal-degree splitting),
 injectivity comes from complete image scans, and polynomial products,
-long division, Euclid and extended Euclid run on boxed FieldElements (the
-library runs them on canonical values, fields._poly_*).  elements_built
-counts the FieldElements a call builds, for the tests that keep work on
-values.
+long division, Euclid and extended Euclid, matrix products and the
+evaluation of polynomials at scalars, points, matrices and x + b run on
+boxed FieldElements (the library runs them on canonical values:
+fields._poly_*, matrices._product, UniPoly.eval, UniPoly.compose_shift and
+MultiPoly.eval).  elements_built counts the FieldElements a call builds,
+for the tests that keep work on values.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from evainject import FieldElement, Matrix, UniPoly, mat_poly_eval
+from evainject import FieldElement, Matrix, UniPoly
 
 
 def all_polys(spec, max_degree):
@@ -92,6 +94,60 @@ def boxed_powmod(a, e, mod):
     return result
 
 
+def boxed_matmul(a, b):
+    """a * b for n x n matrices by the triple loop on FieldElements."""
+    n, spec = a.n, a.spec
+    out = [[spec.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = out[i][j] + a.entries[i][k] * b.entries[k][j]
+    return Matrix(spec, out)
+
+
+def boxed_mat_poly_eval(f, a):
+    """f(A) by Horner on FieldElements: acc = acc * A + c * I, with the
+    product from boxed_matmul."""
+    n, spec = a.n, a.spec
+    acc = Matrix.zeros(spec, n)
+    for c in reversed(f.coeffs):
+        product = boxed_matmul(acc, a)
+        acc = Matrix(spec, [[product.entries[i][j] + (c if i == j else spec.zero())
+                             for j in range(n)] for i in range(n)])
+    return acc
+
+
+def boxed_uni_eval(f, x):
+    """f(x) by Horner on FieldElements."""
+    acc = f.spec.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def boxed_compose_shift(f, b):
+    """f(x + b) by Horner on polynomials with boxed coefficients."""
+    spec = f.spec
+    x_plus_b = UniPoly(spec, [b, spec.one()])
+    acc = UniPoly.zero(spec)
+    for c in reversed(f.coeffs):
+        acc = boxed_mul(acc, x_plus_b)
+        acc = UniPoly(spec, [acc.coeff(0) + c] + list(acc.coeffs[1:]))
+    return acc
+
+
+def boxed_multi_eval(f, point):
+    """f(point) as the sum of c * x1^e1 * ... * xm^em on FieldElements,
+    each power by FieldElement's square-and-multiply."""
+    acc = f.spec.zero()
+    for exps, c in f.terms.items():
+        term = c
+        for x, e in zip(point, exps):
+            term = term * x ** e
+        acc = acc + term
+    return acc
+
+
 def trial_division_factor(f):
     """Factor a finite-field polynomial by dividing out monic polynomials
     in ascending degree order; only irreducibles survive the sweep."""
@@ -150,13 +206,15 @@ def image_is_injective(f) -> bool:
 def power_sum_eval(f, point):
     """f at a scalar, a tuple or a matrix as sum c_i * point^i, no Horner."""
     if isinstance(point, tuple):
-        return f.eval(point)
+        return boxed_multi_eval(f, point)
     if isinstance(point, Matrix):
-        acc = Matrix.zeros(point.spec, point.n)
-        power = Matrix.identity(point.spec, point.n)
+        n = point.n
+        acc = Matrix.zeros(point.spec, n)
+        power = Matrix.identity(point.spec, n)
         for c in f.coeffs:
-            acc = acc + power.scale(c)
-            power = power * point
+            acc = Matrix(point.spec, [[acc.entries[i][j] + c * power.entries[i][j]
+                                       for j in range(n)] for i in range(n)])
+            power = boxed_matmul(power, point)
         return acc
     acc = f.spec.zero()
     for i, c in enumerate(f.coeffs):
@@ -200,9 +258,10 @@ def zero_fiber(f, n):
     """Nonzero A in M_n(F_q) with f(A) = f(0) * I, in grid_matrices order,
     by boxed Horner on every matrix."""
     spec = f.spec
-    target = Matrix.identity(spec, n).scale(f.constant_term)
+    zero = Matrix.zeros(spec, n)
+    target = boxed_mat_poly_eval(f, zero)
     return [a for a in grid_matrices(spec, n, field_elements(spec))
-            if not a.is_zero() and mat_poly_eval(f, a) == target]
+            if a != zero and boxed_mat_poly_eval(f, a) == target]
 
 
 def elements_built(monkeypatch, call):

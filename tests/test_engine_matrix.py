@@ -16,16 +16,19 @@ from evainject import (
     bezout_noncollision_certificate,
     brute_force_matrix,
     brute_force_zero_fiber,
+    engine,
     factor_profile,
     mat_poly_eval,
     matrix_injectivity,
     minimal_polynomial,
+    verify_witness,
 )
 from evainject.errors import (
     AlgebraError,
     ConstantPolynomialError,
     DimensionTooSmallError,
     GcdNotOneError,
+    NotAWitnessError,
 )
 
 from oracles import all_polys, elements_built
@@ -204,6 +207,15 @@ def test_matrix_scans_box_only_fiber_members(monkeypatch):
     verdict, built = elements_built(monkeypatch, lambda: brute_force_matrix(g, 2))
     assert verdict.status is Status.INJECTIVE
     assert built <= 64
+
+
+def test_verify_witness_rejects_sizes_before_evaluating(monkeypatch):
+    def evaluated(f, a):
+        raise AssertionError("evaluated a side of a mismatched pair")
+    monkeypatch.setattr(engine, "mat_poly_eval", evaluated)
+    f = U(QQ, [0, 0, 1])
+    with pytest.raises(NotAWitnessError, match="witness sides have different shapes"):
+        verify_witness(f, Matrix.identity(QQ, 2), Matrix.identity(QQ, 1))
 
 
 def test_brute_force_matrix_examples():

@@ -110,6 +110,8 @@ CASES = [
     ["search", "--poly", "x^2", "--field", "F5"],
     ["verify", "--poly", "x^2", "--field", "F5", "--lhs", '[["1"]]', "--rhs", '[["4"]]'],
     ["verify", "--poly", "x^2", "--field", "Q", "--lhs", '["1","0"]', "--rhs", '[["1"]]'],
+    ["verify", "--poly", "x^2", "--field", "Q", "--lhs", '[["1","0"],["0","1"]]',
+     "--rhs", '[["1"]]'],
     # text output
     ["matrix", "--poly", "x^3+x", "--field", "F3", "--n", "2", "--output", "text"],
     ["permcheck", "--poly", "x^2", "--field", "F5", "--output", "text"],

@@ -21,6 +21,7 @@ from evainject.errors import (
     DimensionTooSmallError,
     LengthMismatchError,
     NotMonicError,
+    SpecMismatchError,
     TargetTooSmallError,
 )
 
@@ -193,3 +194,12 @@ def test_flatten_roundtrip_random():
 def test_matrix_shape_validation():
     with pytest.raises(LengthMismatchError):
         Matrix.from_rows(QQ, [[1, 2], [3]])
+
+
+def test_matrix_entries_must_be_elements_of_its_field():
+    with pytest.raises(SpecMismatchError):
+        Matrix(QQ, [[1]])
+    with pytest.raises(SpecMismatchError):
+        Matrix(QQ, [[F5.one()]])
+    with pytest.raises(SpecMismatchError):
+        Matrix.identity(QQ, 2).scale(F5.one())
