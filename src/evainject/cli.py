@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import sys
 import time
 from fractions import Fraction
@@ -60,6 +59,7 @@ from .fields import (
 )
 from .matrices import Matrix
 from .polynomials import FactorProfile, MultiPoly, UniPoly
+from .polynomials.core import _sparse_add, _sparse_mul, _sparse_neg
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +122,9 @@ class _PolyParser:
     unary := - unary | atom [^ INT]; atom := rational | var | ( expr ).
 
     Every subexpression is a sparse {exponent tuple: canonical value} map
-    with no zero values, combined through the spec's value hooks; parse()
-    boxes the one UniPoly (nvars None) or MultiPoly at the end."""
+    with no zero values, combined by MultiPoly's sparse arithmetic
+    (polynomials.core._sparse_*); parse() builds the one UniPoly (nvars
+    None) or MultiPoly from the values at the end."""
 
     def __init__(self, text: str, spec: FieldSpec, nvars: int | None):
         self.text = text
@@ -147,32 +148,8 @@ class _PolyParser:
         if kind != "OP" or val != op:
             raise ParseError(f"expected {op!r}", self.text, at)
 
-    # -- sparse arithmetic on {exponents: value} ---------------------------
     def _constant(self, value) -> dict:
         return {self.origin: value} if value != self.zero else {}
-
-    def _sum(self, a: dict, b: dict) -> dict:
-        add, out = self.spec._add, dict(a)
-        for e, c in b.items():
-            c = add(out[e], c) if e in out else c
-            if c != self.zero:
-                out[e] = c
-            else:
-                del out[e]
-        return out
-
-    def _negated(self, a: dict) -> dict:
-        neg = self.spec._neg
-        return {e: neg(c) for e, c in a.items()}
-
-    def _product(self, a: dict, b: dict) -> dict:
-        add, mul, out = self.spec._add, self.spec._mul, {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(operator.add, e1, e2))
-                c = mul(c1, c2)
-                out[e] = add(out[e], c) if e in out else c
-        return {e: c for e, c in out.items() if c != self.zero}
 
     def _variable(self, name: str, at: int) -> dict:
         if self.nvars is None:
@@ -204,11 +181,11 @@ class _PolyParser:
             if degree > MAX_UNIVARIATE_DEGREE:
                 raise ParseError(f"degree {degree} exceeds the univariate cap "
                                  f"{MAX_UNIVARIATE_DEGREE}", self.text, 0)
-            coeffs = [spec.zero()] * (degree + 1)
+            values = [self.zero] * (degree + 1)
             for e, c in terms.items():
-                coeffs[e[0]] = FieldElement(spec, c)
-            return UniPoly(spec, coeffs)
-        return MultiPoly(spec, self.nvars, {e: FieldElement(spec, c) for e, c in terms.items()})
+                values[e[0]] = c
+            return UniPoly._from_values(spec, values)
+        return MultiPoly._from_values(spec, self.nvars, terms)
 
     def _expr(self):
         value = self._term()
@@ -217,7 +194,8 @@ class _PolyParser:
             if kind == "OP" and val in "+-":
                 self._next()
                 rhs = self._term()
-                value = self._sum(value, rhs if val == "+" else self._negated(rhs))
+                value = _sparse_add(self.spec, value,
+                                    rhs if val == "+" else _sparse_neg(self.spec, rhs))
             else:
                 return value
 
@@ -227,7 +205,7 @@ class _PolyParser:
             kind, val, _ = self._peek()
             if kind == "OP" and val == "*":
                 self._next()
-                value = self._product(value, self._unary())
+                value = _sparse_mul(self.spec, value, self._unary())
             else:
                 return value
 
@@ -235,7 +213,7 @@ class _PolyParser:
         kind, val, _ = self._peek()
         if kind == "OP" and val == "-":
             self._next()
-            return self._negated(self._unary())
+            return _sparse_neg(self.spec, self._unary())
         return self._power()
 
     def _power(self):
@@ -247,7 +225,8 @@ class _PolyParser:
             if kind != "INT":
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
             e = _parse_int(val, self.text, at)
-            return _power(base, self._constant(self.spec.one().value), e, self._product)
+            return _power(base, self._constant(self.spec.one().value), e,
+                          functools.partial(_sparse_mul, self.spec))
         return base
 
     def _atom(self):
@@ -321,7 +300,7 @@ def parse_field(text: str) -> FieldSpec:
             if mod_poly.degree != k:
                 raise ParseError(
                     f"modulus degree {mod_poly.degree} does not match F{q}", text, 0)
-            return ExtensionField(p, [c.value for c in mod_poly.coeffs])
+            return ExtensionField(p, mod_poly.values)
         if k == 1:
             return PrimeField(p)
         return ExtensionField.from_order(q)
@@ -332,7 +311,7 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse one field element; extension elements are polynomials in x."""
     if isinstance(spec, ExtensionField):
         over_prime = parse_poly(text, PrimeField(spec.p))
-        return spec.element([c.value for c in over_prime.coeffs])
+        return spec.element(over_prime.values)
     poly = parse_poly(text, spec)
     if not poly.is_constant():
         raise ParseError(f"expected a field element, got {text!r}", text, 0)
@@ -372,7 +351,8 @@ def _value_to_json(value):
     if isinstance(value, tuple):
         return [str(e) for e in value]
     if isinstance(value, Matrix):
-        return [[str(e) for e in row] for row in value.entries]
+        n, fmt = value.n, value.spec._format
+        return [[fmt(v) for v in value.values[i:i + n]] for i in range(0, n * n, n)]
     raise InternalInvariantError(f"unserializable value {value!r}")
 
 

@@ -39,6 +39,7 @@ witnesses are reproducible.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,10 +66,10 @@ from .fields import (
     FieldSpec,
     Rationals,
     RealClosedTag,
+    _power,
 )
 from .matrices import (
     Matrix,
-    _boxed as _boxed_matrix,
     block_embed,
     companion,
     jordan_nilpotent_embed,
@@ -351,8 +352,8 @@ def _rational_image(f: UniPoly):
     """The key of f(a/b) for the int pair (a, b): with f = P/D, P in Z[x] and
     d = deg f, the reduced pair of N / (D*b^d), N = sum P_i a^i b^(d-i) by
     homogenized Horner."""
-    lcm = math.lcm(*(c.value.denominator for c in f.coeffs))
-    lead, *rest = [int(c.value * lcm) for c in reversed(f.coeffs)] or [0]
+    lcm = math.lcm(*(c.denominator for c in f.values))
+    lead, *rest = [int(c * lcm) for c in reversed(f.values)] or [0]
 
     def image(point: tuple[int, int]) -> tuple[int, int]:
         a, b = point
@@ -387,7 +388,7 @@ def _scalar_image(f: UniPoly):
     """f on a canonical value of its field: Horner through the spec's value
     hooks, returning f(a)'s canonical value."""
     add, mul = f.spec._add, f.spec._mul
-    lead, *rest = [c.value for c in reversed(f.coeffs)] or [f.spec.zero().value]
+    lead, *rest = f.values[::-1] or [f.spec.zero().value]
 
     def image(a):
         acc = lead
@@ -403,25 +404,16 @@ def _multi_image(f: MultiPoly):
     a^e = a^((e-1) mod (q-1) + 1) on F_q for e >= 1, exponents are folded
     below q first."""
     spec = f.spec
-    add, mul, zero, one, q = spec._add, spec._mul, spec.zero().value, spec.one().value, spec.order
-    terms = [(tuple(e and (e - 1) % (q - 1) + 1 for e in exps), c.value)
-             for exps, c in f.terms.items()]
-
-    def power(a, e):
-        result = one
-        while e:
-            if e & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            e >>= 1
-        return result
+    add, mul, zero, q = spec._add, spec._mul, spec.zero().value, spec.order
+    terms = [(tuple(e and (e - 1) % (q - 1) + 1 for e in exps), c)
+             for exps, c in f.values.items()]
 
     def image(point: tuple):
         acc = zero
         for exps, c in terms:
             for a, e in zip(point, exps):
                 if e:
-                    c = mul(c, power(a, e))
+                    c = _power(a, c, e, mul)  # c * a^e
             acc = add(acc, c)
         return acc
     return image
@@ -431,7 +423,7 @@ def _matrix_image(f: UniPoly, n: int):
     """The key of f(A) for A's flat row-major value tuple: the flat tuple of
     f(A)'s canonical values, by Horner through the spec's value hooks."""
     add, mul, zero = f.spec._add, f.spec._mul, f.spec.zero().value
-    lead, *rest = [c.value for c in reversed(f.coeffs)] or [zero]
+    lead, *rest = f.values[::-1] or [zero]
     cells = [(i == j, [(i * n + k, k * n + j) for k in range(n)])
              for i in range(n) for j in range(n)]
 
@@ -449,11 +441,6 @@ def _matrix_image(f: UniPoly, n: int):
     return image
 
 
-def _matrix_box(spec: FieldSpec, n: int):
-    """The Matrix of a flat row-major tuple of canonical values."""
-    return lambda a: _boxed_matrix(spec, n, a)
-
-
 def search_matrix_collisions(f: UniPoly, n: int, height: int,
                              cap: int = DEFAULT_BOUNDS.matrix_cap) -> Witness | None:
     """Scan n x n matrices with grid entries for f(A) = f(B), A != B.
@@ -462,12 +449,14 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     the cap raises before any grid point is built.
     """
     spec = _search_spec(f)
+    _check_dimension(n)
     total = _grid_size(height) ** (n * n)
     if total > cap:
         raise EnumerationCapExceededError(
             f"{total} candidate matrices exceed the cap {cap}; lower the height")
     points = itertools.product(rational_grid(height), repeat=n * n)
-    return _first_collision(f, points, _matrix_image(f, n), _matrix_box(spec, n))
+    return _first_collision(f, points, _matrix_image(f, n),
+                            functools.partial(Matrix._from_values, spec, n))
 
 
 def search_verdict(f: UniPoly, n: int | None,
@@ -510,9 +499,9 @@ def _tuple_image(f: MultiPoly, points: list[Fraction]):
     """The key of f at an index tuple into points: with d_i f's degree in
     x_i, the reduced pair of sum D*c_e prod a_i^e_i b_i^(d_i-e_i) over
     D prod b_i^d_i.  Each point's row a^k b^(d-k) is computed once."""
-    lcm = math.lcm(*(c.value.denominator for c in f.terms.values()))
-    terms = [(e, int(c.value * lcm)) for e, c in f.terms.items()]
-    degrees = [max((e[i] for e in f.terms), default=0) for i in range(f.m)]
+    lcm = math.lcm(*(c.denominator for c in f.values.values()))
+    terms = [(e, int(c * lcm)) for e, c in f.values.items()]
+    degrees = [max((e[i] for e in f.values), default=0) for i in range(f.m)]
     rows = {d: [[r.numerator ** k * r.denominator ** (d - k) for k in range(d + 1)]
                 for r in points] for d in set(degrees)}
     variable_rows = [rows[d] for d in degrees]
@@ -596,7 +585,7 @@ def _hermite_is_permutation(f: UniPoly) -> bool:
             out[e] = add(out.get(e, zero), c)
         return {e: c for e, c in out.items() if c != zero}
 
-    terms = reduced((e, c.value) for e, c in enumerate(f.coeffs))
+    terms = reduced(enumerate(f.values))
     ft = terms
     for t in range(1, q - 1):
         if t > 1:
@@ -692,11 +681,10 @@ def simple_roots_verdict(f: UniPoly, spec: FieldSpec | None = None) -> Verdict:
 
 def _pure_power_center(f: UniPoly) -> FieldElement | None:
     """b with f = lc * (x - b)^deg + f(b), if f is a shifted pure power."""
-    spec = f.spec
-    d = f.degree
-    b = -(f.coeffs[d - 1] / (spec.element(d) * f.leading))
+    d, zero = f.degree, f.spec.zero().value
+    b = -(f.coeff(d - 1) / (d * f.leading))
     shifted = f.compose_shift(b)
-    if all(shifted.coeff(i).is_zero() for i in range(1, d)):
+    if all(v == zero for v in shifted.values[1:d]):
         return b
     return None
 
@@ -970,6 +958,12 @@ def _exhaustive_verdict(w: Witness | None, total: int) -> Verdict:
                    f"all {total} values are distinct")
 
 
+def _check_dimension(n: int):
+    """Matrix scans need n >= 1: below that there is no matrix to scan."""
+    if n < 1:
+        raise DimensionTooSmallError(f"matrix dimension n={n} must be at least 1")
+
+
 def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None,
                      bounds: Bounds) -> tuple[int, Iterable[tuple]]:
     """The size of M_n(F_q) and its flat value tuples in scan order, for the
@@ -979,6 +973,7 @@ def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None,
         raise SpecMismatchError("oracle field must match the coefficient field")
     if not spec.is_finite:
         raise SpecMismatchError("brute force enumerates finite fields")
+    _check_dimension(n)
     total = spec.order ** (n * n)
     if total > bounds.matrix_cap:
         raise EnumerationCapExceededError(
@@ -990,7 +985,8 @@ def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
                        bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     """Exhaustive matrix oracle over a finite field: scan all of M_n(F_q)."""
     total, matrices = _oracle_matrices(f, n, spec, bounds)
-    w = _first_collision(f, matrices, _matrix_image(f, n), _matrix_box(f.spec, n))
+    w = _first_collision(f, matrices, _matrix_image(f, n),
+                         functools.partial(Matrix._from_values, f.spec, n))
     return _exhaustive_verdict(w, total)
 
 
@@ -1002,7 +998,8 @@ def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
     n < d conclusion on small instances.
     """
     _, matrices = _oracle_matrices(f, n, spec, bounds)
-    image, box = _matrix_image(f, n), _matrix_box(f.spec, n)
+    image = _matrix_image(f, n)
     zero = (f.spec.zero().value,) * (n * n)
     target = image(zero)
-    return [box(a) for a in matrices if a != zero and image(a) == target]
+    return [Matrix._from_values(f.spec, n, a) for a in matrices
+            if a != zero and image(a) == target]

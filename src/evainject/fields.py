@@ -2,6 +2,8 @@
 
 A FieldSpec names a field and owns arithmetic on canonical values; a
 FieldElement is an immutable (spec, value) pair with operator overloads.
+UniPoly, MultiPoly and Matrix store canonical values, not FieldElements,
+and build one only where their API hands it out (coeffs, entries, eval).
 There is one FieldSpec object per field: PrimeField(5) returns the same
 object every time, as do ExtensionField with the same reduced modulus and
 Rationals() (which is QQ), so field equality is identity.  A spec's
@@ -91,9 +93,9 @@ def prime_power(q: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # Dense F[x] arithmetic on lists of canonical values (ascending degree,
 # trimmed) through a spec's _add/_neg/_mul/_inv hooks: one kernel for F_p
-# (plain int lists), F_{p^k} and Q.  Extension-field canonical forms and
-# inverses, the Rabin test below, factoring (polynomials/factor.py) and
-# UniPoly's product, division and gcds all run on it.
+# (plain int lists), F_{p^k} and Q.  Extension-field canonical forms, the
+# Rabin test below, factoring (polynomials/factor.py) and UniPoly's
+# arithmetic, division and gcds all run on it.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: list, zero) -> list:
@@ -462,13 +464,9 @@ class ExtensionField(FieldSpec):
         return tuple([c % p for c in prod[:k]])
 
     def _inv(self, a):
-        va = _poly_trim(list(a), 0)
-        if not va:
+        if not any(a):
             raise DivisionByZeroError(f"0 is not invertible in {self}")
-        g, s, _ = _poly_xgcd(PrimeField(self.p), va, self.modulus)
-        if len(g) != 1:
-            raise InvalidFieldError("modulus is not irreducible")  # unreachable
-        return self._canon(s)
+        return _power(a, self.one().value, self.order - 2, self._mul)  # a^(q-2)
 
     def _sort_key(self, a):
         return sum(c * self.p ** i for i, c in enumerate(a))

@@ -8,10 +8,12 @@ embedding A -> A + 0, the minimal polynomial by the first linear dependence
 among I, A, A^2, ... over the n^2-dimensional matrix space, and the
 row-major flatten / unflatten bijections between matrices and vectors.
 
-Products, sums, scaling and polynomial evaluation run on the entries'
-canonical values through the spec's _add/_neg/_mul hooks, reading each
-right-hand factor as sparse columns of nonzero entries, and box only the
-resulting matrix.
+A Matrix stores n and the flat row-major tuple of its entries' canonical
+values (fields.py).  Products, sums, scaling, polynomial evaluation and the
+elimination behind the minimal polynomial run on those values through the
+spec's _add/_neg/_mul/_inv hooks, reading each right-hand factor as sparse
+columns of nonzero entries.  A FieldElement is built only where the API
+hands one out: entries and flatten box on every read.
 """
 from __future__ import annotations
 
@@ -28,15 +30,16 @@ from .errors import (
     TargetTooSmallError,
 )
 from .fields import FieldElement, FieldSpec
-from .polynomials.core import UniPoly
+from .polynomials.core import UniPoly, _Frozen
 
 
-class Matrix:
-    """Immutable n x n matrix; entries share one FieldSpec."""
+class Matrix(_Frozen):
+    """Immutable n x n matrix over one FieldSpec, stored as the flat
+    row-major tuple of its entries' canonical values."""
 
-    __slots__ = ("spec", "n", "entries")
+    __slots__ = ("spec", "n", "values")
 
-    def __init__(self, spec: FieldSpec, entries: Sequence[Sequence[FieldElement]]):
+    def __new__(cls, spec: FieldSpec, entries: Sequence[Sequence[FieldElement]]):
         rows = tuple(tuple(row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -45,12 +48,12 @@ class Matrix:
             for e in row:
                 if not isinstance(e, FieldElement) or e.spec != spec:
                     raise SpecMismatchError(f"entry {e!r} is not an element of {spec}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
+        return cls._from_values(spec, n, [e.value for row in rows for e in row])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    @classmethod
+    def _from_values(cls, spec: FieldSpec, n: int, values: Sequence) -> "Matrix":
+        """A flat row-major sequence of n^2 canonical values of spec; no checks."""
+        return cls._make(spec=spec, n=n, values=tuple(values))
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
@@ -67,6 +70,13 @@ class Matrix:
         z, o = spec.zero(), spec.one()
         return cls(spec, [[o if i == j else z for j in range(n)] for i in range(n)])
 
+    @property
+    def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
+        """The rows of boxed entries, built on every read."""
+        n, spec = self.n, self.spec
+        return tuple(tuple(FieldElement(spec, v) for v in self.values[i:i + n])
+                     for i in range(0, n * n, n))
+
     def _check(self, other: "Matrix"):
         if other.spec != self.spec:
             raise SpecMismatchError("matrices over different fields")
@@ -76,74 +86,54 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         add = self.spec._add
-        return _boxed(self.spec, self.n,
-                      [add(x, y) for x, y in zip(_values(self), _values(other))])
+        return Matrix._from_values(self.spec, self.n, map(add, self.values, other.values))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        add, neg = self.spec._add, self.spec._neg
-        return _boxed(self.spec, self.n,
-                      [add(x, neg(y)) for x, y in zip(_values(self), _values(other))])
+        return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.spec._neg
-        return _boxed(self.spec, self.n, [neg(x) for x in _values(self)])
+        return Matrix._from_values(self.spec, self.n, map(self.spec._neg, self.values))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         spec, n = self.spec, self.n
         zero = spec.zero().value
-        return _boxed(spec, n, _product(spec, n, _values(self), _columns(other), zero))
+        return Matrix._from_values(spec, n, _product(spec, n, self.values, _columns(other), zero))
 
     def scale(self, c: FieldElement) -> "Matrix":
         if not isinstance(c, FieldElement) or c.spec != self.spec:
             raise SpecMismatchError(f"scalar {c!r} is not an element of {self.spec}")
         mul, v = self.spec._mul, c.value
-        return _boxed(self.spec, self.n, [mul(v, x) for x in _values(self)])
+        return Matrix._from_values(self.spec, self.n, [mul(v, x) for x in self.values])
 
     def is_zero(self) -> bool:
         zero = self.spec.zero().value
-        return all(e.value == zero for row in self.entries for e in row)
+        return all(v == zero for v in self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (other.spec == self.spec and other.n == self.n
-                and other.entries == self.entries)
+                and other.values == self.values)
 
     def __hash__(self):
-        return hash((self.spec, self.entries))
+        return hash((self.spec, self.values))
 
     def __str__(self):
-        rows = ["[" + ",".join(f'"{e}"' for e in row) + "]" for row in self.entries]
+        n, fmt = self.n, self.spec._format
+        rows = ["[" + ",".join(f'"{fmt(v)}"' for v in self.values[i:i + n]) + "]"
+                for i in range(0, n * n, n)]
         return "[" + ",".join(rows) + "]"
 
     def __repr__(self):
         return f"Matrix({self.spec}, {self})"
 
 
-def _values(a: Matrix) -> list:
-    """a's canonical entry values, flat and row-major."""
-    return [e.value for row in a.entries for e in row]
-
-
-def _boxed(spec: FieldSpec, n: int, values: Sequence) -> Matrix:
-    """The n x n Matrix of a flat row-major sequence of canonical values of
-    spec; builds one FieldElement per entry and checks nothing else."""
-    m = object.__new__(Matrix)
-    object.__setattr__(m, "spec", spec)
-    object.__setattr__(m, "n", n)
-    object.__setattr__(m, "entries", tuple(
-        tuple([FieldElement(spec, v) for v in values[i:i + n]])
-        for i in range(0, n * n, n)))
-    return m
-
-
 def _columns(b: Matrix) -> list[list[tuple[int, object]]]:
     """Each column of b as its (row index, value) pairs of nonzero entries."""
-    zero = b.spec.zero().value
-    return [[(k, row[j].value) for k, row in enumerate(b.entries) if row[j].value != zero]
-            for j in range(b.n)]
+    n, values, zero = b.n, b.values, b.spec.zero().value
+    return [[(k, values[k * n + j]) for k in range(n) if values[k * n + j] != zero]
+            for j in range(n)]
 
 
 def _product(spec: FieldSpec, n: int, a: Sequence, columns: list, c) -> list:
@@ -167,12 +157,12 @@ def mat_poly_eval(f: UniPoly, a: Matrix) -> Matrix:
         raise SpecMismatchError("polynomial and matrix over different fields")
     spec, n = a.spec, a.n
     zero = spec.zero().value
-    lead, *rest = [c.value for c in reversed(f.coeffs)] or [zero]
+    lead, *rest = f.values[::-1] or [zero]
     acc = [lead if i == j else zero for i in range(n) for j in range(n)]
     columns = _columns(a)
     for c in rest:  # acc = acc * a + c * I
         acc = _product(spec, n, acc, columns, c)
-    return _boxed(spec, n, acc)
+    return Matrix._from_values(spec, n, acc)
 
 
 def companion(q: UniPoly) -> Matrix:
@@ -183,13 +173,13 @@ def companion(q: UniPoly) -> Matrix:
         raise NotMonicError("companion matrix needs a monic polynomial")
     spec = q.spec
     d = q.degree
-    z = spec.zero()
-    grid = [[z] * d for _ in range(d)]
+    zero, one, neg = spec.zero().value, spec.one().value, spec._neg
+    values = [zero] * (d * d)
     for i in range(1, d):
-        grid[i][i - 1] = spec.one()
+        values[i * d + i - 1] = one
     for i in range(d):
-        grid[i][d - 1] = -q.coeffs[i]
-    c = Matrix(spec, grid)
+        values[i * d + d - 1] = neg(q.values[i])
+    c = Matrix._from_values(spec, d, values)
     if not mat_poly_eval(q, c).is_zero():
         raise InternalInvariantError("companion matrix does not annihilate q")
     return c
@@ -199,27 +189,24 @@ def jordan_nilpotent_embed(n: int, spec: FieldSpec) -> Matrix:
     """The n x n nilpotent of index 2: a single 1 at position (1, 2)."""
     if n < 2:
         raise DimensionTooSmallError("an index-2 nilpotent needs n >= 2")
-    z = spec.zero()
-    grid = [[z] * n for _ in range(n)]
-    grid[0][1] = spec.one()
-    return Matrix(spec, grid)
+    values = [spec.zero().value] * (n * n)
+    values[1] = spec.one().value
+    return Matrix._from_values(spec, n, values)
 
 
 def block_embed(c: Matrix, n: int) -> Matrix:
     """Embed a d x d block into the upper-left of an n x n zero matrix."""
     if n < c.n:
         raise TargetTooSmallError(f"cannot embed a {c.n} x {c.n} block into n={n}")
-    z = c.spec.zero()
-    grid = [[z] * n for _ in range(n)]
+    values = [c.spec.zero().value] * (n * n)
     for i in range(c.n):
-        for j in range(c.n):
-            grid[i][j] = c.entries[i][j]
-    return Matrix(c.spec, grid)
+        values[i * n:i * n + c.n] = c.values[i * c.n:(i + 1) * c.n]
+    return Matrix._from_values(c.spec, n, values)
 
 
 def flatten(a: Matrix) -> tuple[FieldElement, ...]:
     """Row-major vector of the n^2 entries."""
-    return tuple(e for row in a.entries for e in row)
+    return tuple(FieldElement(a.spec, v) for v in a.values)
 
 
 def unflatten(v: Sequence[FieldElement], n: int | None = None,
@@ -236,37 +223,25 @@ def unflatten(v: Sequence[FieldElement], n: int | None = None,
     return Matrix(spec, [list(v[i * n:(i + 1) * n]) for i in range(n)])
 
 
-def _solve_linear(columns: list[tuple[FieldElement, ...]],
-                  target: tuple[FieldElement, ...],
-                  spec: FieldSpec) -> list[FieldElement] | None:
-    """Solve sum_j x_j * columns[j] = target by Gaussian elimination."""
-    rows = len(target)
+def _solve_linear(spec: FieldSpec, columns: list[Sequence], target: Sequence) -> list | None:
+    """Solve sum_j x_j * columns[j] = target for linearly independent columns
+    by Gauss-Jordan elimination on canonical values; None when target lies
+    outside their span.  Independence gives column j its pivot in row j."""
+    add, neg, mul, zero = spec._add, spec._neg, spec._mul, spec.zero().value
     k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, rows) if not aug[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col].inv()
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(rows):
-            if i != r and not aug[i][col].is_zero():
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not aug[i][k].is_zero():
-            return None
-    solution = [spec.zero()] * k
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][k]
-    return solution
+    aug = [[column[i] for column in columns] + [t] for i, t in enumerate(target)]
+    for j in range(k):
+        pivot = next(i for i in range(j, len(aug)) if aug[i][j] != zero)
+        aug[j], aug[pivot] = aug[pivot], aug[j]
+        inv = spec._inv(aug[j][j])
+        aug[j] = [mul(inv, x) for x in aug[j]]
+        for i, row in enumerate(aug):
+            if i != j and row[j] != zero:
+                factor = neg(row[j])
+                aug[i] = [add(x, mul(factor, y)) for x, y in zip(row, aug[j])]
+    if any(row[k] != zero for row in aug[k:]):
+        return None
+    return [row[k] for row in aug[:k]]
 
 
 def minimal_polynomial(a: Matrix) -> UniPoly:
@@ -276,17 +251,14 @@ def minimal_polynomial(a: Matrix) -> UniPoly:
     n^2-dimensional matrix space by exact Gaussian elimination.
     """
     spec = a.spec
-    powers = [Matrix.identity(spec, a.n)]
-    vectors = [flatten(powers[0])]
+    power = Matrix.identity(spec, a.n)
+    vectors = [power.values]
     while True:
-        nxt = powers[-1] * a
-        target = flatten(nxt)
-        combo = _solve_linear(vectors, target, spec)
+        power = power * a
+        combo = _solve_linear(spec, vectors, power.values)
         if combo is not None:
-            coeffs = [-c for c in combo] + [spec.one()]
-            m = UniPoly(spec, coeffs)
+            m = UniPoly._from_values(spec, [spec._neg(c) for c in combo] + [spec.one().value])
             if not mat_poly_eval(m, a).is_zero():
                 raise InternalInvariantError("minimal polynomial fails to annihilate")
             return m
-        powers.append(nxt)
-        vectors.append(target)
+        vectors.append(power.values)

@@ -1,16 +1,19 @@
 """Dense univariate and sparse multivariate polynomials over a FieldSpec.
 
-UniPoly stores ascending-degree coefficients with trailing zeros stripped;
-the zero polynomial has an empty coefficient tuple and degree -1.  Products,
-division and gcds run on the coefficients' canonical values through the
-F[x] kernel of fields.py (fields._poly_*), and evaluation and the shift
-f(x + b) run on values through the spec's hooks; each boxes only its result.
-MultiPoly stores a sparse map from exponent tuples to nonzero coefficients.
+UniPoly stores the canonical values of its coefficients (fields.py) as a
+tuple, ascending degree, with trailing zeros stripped; the zero polynomial
+has an empty tuple and degree -1.  MultiPoly stores a map from exponent
+tuples to nonzero canonical values.  All arithmetic runs on these values:
+products, division and gcds through the F[x] kernel of fields.py
+(fields._poly_*), everything else through the spec's hooks.  A FieldElement
+is built only where the API hands one out: coeffs, leading, coeff(i),
+constant_term and terms box on every read, and eval boxes its result.
 All arithmetic is exact.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,31 +32,60 @@ from ..fields import (
     _poly_add,
     _poly_divmod,
     _poly_gcd,
+    _poly_monic,
     _poly_mul,
+    _poly_trim,
     _poly_xgcd,
     _power,
 )
 
 
-class UniPoly:
-    """Univariate polynomial with exact coefficients in one field."""
+def _value_in(spec: FieldSpec, a, what: str):
+    """The canonical value of a FieldElement of spec, or of spec.element(a)."""
+    if not isinstance(a, FieldElement):
+        return spec.element(a).value
+    if a.spec != spec:
+        raise SpecMismatchError(f"{what} from a different field")
+    return a.value
 
-    __slots__ = ("spec", "coeffs")
 
-    def __init__(self, spec: FieldSpec, coeffs: Iterable[FieldElement]):
-        cs = list(coeffs)
-        for c in cs:
-            if c.spec != spec:
-                raise SpecMismatchError("coefficient from a different field")
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", tuple(cs))
+class _Frozen:
+    """Immutable container: the unchecked _from_values builds every instance
+    through _make, and the public constructor, __new__, checks first."""
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _make(cls, **slots):
+        obj = object.__new__(cls)
+        for name, value in slots.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
+
+class UniPoly(_Frozen):
+    """Univariate polynomial with exact coefficients in one field."""
+
+    __slots__ = ("spec", "values")
+
+    def __new__(cls, spec: FieldSpec, coeffs: Iterable[FieldElement]):
+        coeffs = list(coeffs)
+        if any(c.spec != spec for c in coeffs):
+            raise SpecMismatchError("coefficient from a different field")
+        return cls._from_values(spec, [c.value for c in coeffs])
 
     # -- construction helpers ----------------------------------------------
+    @classmethod
+    def _from_values(cls, spec: FieldSpec, values: Iterable) -> "UniPoly":
+        """Ascending canonical values of spec, trailing zeros stripped; no checks."""
+        values = list(values)
+        if values:  # a verdict-only tag has no zero, and no nonzero polynomial
+            _poly_trim(values, spec.zero().value)
+        return cls._make(spec=spec, values=tuple(values))
+
     @classmethod
     def from_ints(cls, spec: FieldSpec, ints: Sequence) -> "UniPoly":
         """Build from ascending int (or Fraction, over Q) coefficients."""
@@ -61,42 +93,47 @@ class UniPoly:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "UniPoly":
-        return cls(spec, [])
+        return cls._from_values(spec, ())
 
     @classmethod
     def constant(cls, spec: FieldSpec, c) -> "UniPoly":
-        return cls(spec, [c if isinstance(c, FieldElement) else spec.element(c)])
+        return cls._from_values(spec, [_value_in(spec, c, "coefficient")])
 
     @classmethod
     def x(cls, spec: FieldSpec) -> "UniPoly":
-        return cls(spec, [spec.zero(), spec.one()])
+        return cls._from_values(spec, [spec.zero().value, spec.one().value])
 
-    # -- basic queries -------------------------------------------------------
+    # -- basic queries, boxing what they hand out ----------------------------
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.values) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.values
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.values) <= 1
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, v) for v in self.values)
 
     @property
     def leading(self) -> FieldElement:
         if self.is_zero():
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.spec, self.values[-1])
 
     def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.spec.zero()
+        values = self.values
+        return FieldElement(self.spec, values[i]) if 0 <= i < len(values) else self.spec.zero()
 
     @property
     def constant_term(self) -> FieldElement:
         return self.coeff(0)
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading == self.spec.one()
+        return not self.is_zero() and self.values[-1] == self.spec.one().value
 
     # -- ring operations -----------------------------------------------------
     def _check(self, other: "UniPoly"):
@@ -105,29 +142,28 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.spec, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return UniPoly._from_values(self.spec, _poly_add(self.spec, self.values, other.values))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.spec, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.spec, [-c for c in self.coeffs])
+        neg = self.spec._neg
+        return UniPoly._from_values(self.spec, [neg(c) for c in self.values])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        return _boxed(self.spec, _poly_mul(self.spec, _values(self), _values(other)))
+        return UniPoly._from_values(self.spec, _poly_mul(self.spec, self.values, other.values))
 
     def scale(self, c: FieldElement) -> "UniPoly":
-        return UniPoly(self.spec, [c * a for a in self.coeffs])
+        mul, v = self.spec._mul, _value_in(self.spec, c, "scalar")
+        return UniPoly._from_values(self.spec, [mul(v, a) for a in self.values])
 
     def shift_up(self, k: int) -> "UniPoly":
         """Multiply by x^k."""
         if self.is_zero():
             return self
-        return UniPoly(self.spec, [self.spec.zero()] * k + list(self.coeffs))
+        return UniPoly._from_values(self.spec, (self.spec.zero().value,) * k + self.values)
 
     def __pow__(self, e: int) -> "UniPoly":
         return _power(self, UniPoly.constant(self.spec, self.spec.one()), e)
@@ -136,8 +172,8 @@ class UniPoly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZeroError("polynomial division by zero")
-        q, r = _poly_divmod(self.spec, _values(self), _values(other))
-        return _boxed(self.spec, q), _boxed(self.spec, r)
+        q, r = _poly_divmod(self.spec, self.values, other.values)
+        return UniPoly._from_values(self.spec, q), UniPoly._from_values(self.spec, r)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[0]
@@ -151,23 +187,19 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(self.leading.inv())
+        return UniPoly._from_values(self.spec, _poly_monic(self.spec, self.values))
 
     # -- calculus and evaluation ----------------------------------------------
     def eval(self, a: FieldElement) -> FieldElement:
         """Horner evaluation on canonical values; boxes only the result."""
         spec = self.spec
-        if isinstance(a, FieldElement):
-            if a.spec != spec:
-                raise SpecMismatchError("evaluation point from a different field")
-        else:
-            a = spec.element(a)
-        if not self.coeffs:
+        x = _value_in(spec, a, "evaluation point")
+        if not self.values:
             return spec.zero()
-        add, mul, x = spec._add, spec._mul, a.value
-        acc = self.coeffs[-1].value
-        for c in self.coeffs[-2::-1]:
-            acc = add(mul(acc, x), c.value)
+        add, mul = spec._add, spec._mul
+        acc = self.values[-1]
+        for c in self.values[-2::-1]:
+            acc = add(mul(acc, x), c)
         return FieldElement(spec, acc)
 
     def __call__(self, a) -> FieldElement:
@@ -175,42 +207,45 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         """Formal derivative; characteristic-p cancellation applies."""
-        return UniPoly(
-            self.spec,
-            [self.spec.element(i) * self.coeffs[i] for i in range(1, len(self.coeffs))],
-        )
+        spec = self.spec
+        add, mul, one = spec._add, spec._mul, spec.one().value
+        out, i = [], spec.zero().value
+        for c in self.values[1:]:
+            i = add(i, one)  # the value of the exponent in spec
+            out.append(mul(i, c))
+        return UniPoly._from_values(spec, out)
 
     def compose_shift(self, b: FieldElement) -> "UniPoly":
         """Return f(x + b), by Horner on coefficient values."""
         spec = self.spec
-        if b.spec != spec:
-            raise SpecMismatchError("shift from a different field")
-        x_plus_b = [b.value, spec.one().value]
+        x_plus_b = [_value_in(spec, b, "shift"), spec.one().value]
         acc = []
-        for c in reversed(self.coeffs):
-            acc = _poly_add(spec, _poly_mul(spec, acc, x_plus_b), [c.value])
-        return _boxed(spec, acc)
+        for c in reversed(self.values):
+            acc = _poly_add(spec, _poly_mul(spec, acc, x_plus_b), [c])
+        return UniPoly._from_values(spec, acc)
 
     # -- comparison and printing ----------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return other.spec == self.spec and other.coeffs == self.coeffs
+        return other.spec == self.spec and other.values == self.values
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.values))
 
     def sort_key(self):
         """Total order on canonical coefficient sequences (degree first)."""
-        return (self.degree, tuple(c.sort_key() for c in self.coeffs))
+        return (self.degree, tuple(map(self.spec._sort_key, self.values)))
 
     def format(self, descending: bool = True, var: str = "x") -> str:
         if self.is_zero():
             return "0"
-        idx = range(len(self.coeffs) - 1, -1, -1) if descending else range(len(self.coeffs))
+        zero = self.spec.zero().value
+        idx = range(len(self.values) - 1, -1, -1) if descending else range(len(self.values))
         return _join_terms(
-            _term_str(self.coeffs[i], "" if i == 0 else (var if i == 1 else f"{var}^{i}"))
-            for i in idx if not self.coeffs[i].is_zero())
+            _term_str(self.spec, self.values[i],
+                      "" if i == 0 else (var if i == 1 else f"{var}^{i}"))
+            for i in idx if self.values[i] != zero)
 
     def __str__(self):
         return self.format()
@@ -219,22 +254,14 @@ class UniPoly:
         return f"UniPoly({self.spec}, {self})"
 
 
-def _values(f: UniPoly) -> list:
-    return [c.value for c in f.coeffs]
-
-
-def _boxed(spec: FieldSpec, values: Sequence) -> UniPoly:
-    """The UniPoly with these canonical coefficient values."""
-    return UniPoly(spec, [FieldElement(spec, v) for v in values])
-
-
-def _term_str(c: FieldElement, body: str) -> str:
-    """One printed term c*body (body "" for the constant term); negative
-    rationals keep their sign on the coefficient.  A coefficient of F_{p^k}
-    outside F_p prints as its generator polynomial in brackets, "[x+1]",
-    which no variable x of the polynomial can be read into."""
-    cs = str(c)
-    if isinstance(c.spec, ExtensionField) and any(c.value[1:]):
+def _term_str(spec: FieldSpec, c, body: str) -> str:
+    """One printed term c*body for a canonical value c (body "" for the
+    constant term); negative rationals keep their sign on the coefficient.
+    A coefficient of F_{p^k} outside F_p prints as its generator polynomial
+    in brackets, "[x+1]", which no variable x of the polynomial can be read
+    into."""
+    cs = spec._format(c)
+    if isinstance(spec, ExtensionField) and any(c[1:]):
         cs = f"[{cs}]"
     if not body:
         return cs
@@ -260,7 +287,7 @@ def gcd_poly(a: UniPoly, b: UniPoly) -> UniPoly:
         raise SpecMismatchError("gcd of polynomials over different fields")
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
-    return _boxed(a.spec, _poly_gcd(a.spec, _values(a), _values(b)))
+    return UniPoly._from_values(a.spec, _poly_gcd(a.spec, a.values, b.values))
 
 
 def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
@@ -273,17 +300,19 @@ def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
         raise SpecMismatchError("gcd of polynomials over different fields")
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
-    return tuple(_boxed(a.spec, v) for v in _poly_xgcd(a.spec, _values(a), _values(b)))
+    return tuple(UniPoly._from_values(a.spec, v)
+                 for v in _poly_xgcd(a.spec, a.values, b.values))
 
 
 def zero_multiplicity(f: UniPoly) -> tuple[int, UniPoly]:
     """Write f = x^m * h with h(0) != 0 and return (m, h)."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no such decomposition")
+    zero = f.spec.zero().value
     m = 0
-    while f.coeffs[m].is_zero():
+    while f.values[m] == zero:
         m += 1
-    return m, UniPoly(f.spec, f.coeffs[m:])
+    return m, UniPoly._from_values(f.spec, f.values[m:])
 
 
 def _int_divisors(n: int) -> list[int]:
@@ -315,15 +344,15 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
         roots.append(Fraction(0))
     if h.degree < 1:
         return roots
-    den_lcm = math.lcm(*(c.value.denominator for c in h.coeffs))
-    ints = [int(c.value * den_lcm) for c in h.coeffs]
+    den_lcm = math.lcm(*(c.denominator for c in h.values))
+    ints = [int(c * den_lcm) for c in h.values]
     a0, an = ints[0], ints[-1]
     for p in _int_divisors(a0):
         for q in _int_divisors(an):
             if math.gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if h.eval(f.spec.element(cand)).is_zero() and cand not in roots:
+                if h.eval(cand).is_zero() and cand not in roots:
                     roots.append(cand)
     return sorted(roots)
 
@@ -342,15 +371,15 @@ def root_multiplicity(f: UniPoly, b: FieldElement) -> int:
         k += 1
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """Sparse polynomial in m >= 1 commuting variables."""
 
-    __slots__ = ("spec", "m", "terms")
+    __slots__ = ("spec", "m", "values")
 
-    def __init__(self, spec: FieldSpec, m: int, terms: dict[tuple[int, ...], FieldElement]):
+    def __new__(cls, spec: FieldSpec, m: int, terms: dict[tuple[int, ...], FieldElement]):
         if m < 1:
             raise ArityMismatchError("need at least one variable")
-        clean: dict[tuple[int, ...], FieldElement] = {}
+        values = {}
         for exps, c in terms.items():
             if len(exps) != m:
                 raise ArityMismatchError(
@@ -358,13 +387,13 @@ class MultiPoly:
             if c.spec != spec:
                 raise SpecMismatchError("coefficient from a different field")
             if not c.is_zero():
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", clean)
+                values[tuple(exps)] = c.value
+        return cls._from_values(spec, m, values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    @classmethod
+    def _from_values(cls, spec: FieldSpec, m: int, values: dict) -> "MultiPoly":
+        """An {exponent tuple: canonical value} map without zeros, kept; no checks."""
+        return cls._make(spec=spec, m=m, values=values)
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, m: int, terms: dict) -> "MultiPoly":
@@ -381,13 +410,17 @@ class MultiPoly:
         exps[i] = 1
         return cls(spec, m, {tuple(exps): spec.one()})
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], FieldElement]:
+        return {e: FieldElement(self.spec, c) for e, c in self.values.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.values
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.values:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.values)
 
     def _check(self, other: "MultiPoly"):
         if other.spec != self.spec or other.m != self.m:
@@ -395,26 +428,19 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, self.spec.zero()) + c
-        return MultiPoly(self.spec, self.m, out)
+        return MultiPoly._from_values(self.spec, self.m,
+                                      _sparse_add(self.spec, self.values, other.values))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.spec, self.m, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_values(self.spec, self.m, _sparse_neg(self.spec, self.values))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[tuple[int, ...], FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                out[e] = out.get(e, self.spec.zero()) + prod
-        return MultiPoly(self.spec, self.m, out)
+        return MultiPoly._from_values(self.spec, self.m,
+                                      _sparse_mul(self.spec, self.values, other.values))
 
     def __pow__(self, e: int) -> "MultiPoly":
         return _power(self, MultiPoly.constant(self.spec, self.m, self.spec.one()), e)
@@ -431,8 +457,7 @@ class MultiPoly:
         add, mul = spec._add, spec._mul
         xs = [a.value for a in point]
         acc = spec.zero().value
-        for exps, c in self.terms.items():
-            term = c.value
+        for exps, term in self.values.items():
             for x, e in zip(xs, exps):
                 if e:
                     term = _power(x, term, e, mul)  # term * x^e
@@ -445,24 +470,51 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return other.spec == self.spec and other.m == self.m and other.terms == self.terms
+        return other.spec == self.spec and other.m == self.m and other.values == self.values
 
     def __hash__(self):
-        return hash((self.spec, self.m, tuple(sorted(self.terms.items()))))
+        return hash((self.spec, self.m, frozenset(self.values.items())))
 
     def format(self) -> str:
-        if not self.terms:
+        if not self.values:
             return "0"
-        def key(item):
-            exps, _ = item
-            return (sum(exps), exps)
         return _join_terms(
-            _term_str(c, "*".join((f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-                                  for i, e in enumerate(exps) if e > 0))
-            for exps, c in sorted(self.terms.items(), key=key, reverse=True))
+            _term_str(self.spec, self.values[exps],
+                      "*".join((f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
+                               for i, e in enumerate(exps) if e > 0))
+            for exps in sorted(self.values, key=lambda e: (sum(e), e), reverse=True))
 
     def __str__(self):
         return self.format()
 
     def __repr__(self):
         return f"MultiPoly({self.spec}, m={self.m}, {self})"
+
+
+# Sparse arithmetic on {exponent tuple: canonical value} maps without zero
+# values, through the spec's hooks: MultiPoly's and the parser's.
+
+def _sparse_add(spec: FieldSpec, a: dict, b: dict) -> dict:
+    add, zero, out = spec._add, spec.zero().value, dict(a)
+    for e, c in b.items():
+        c = add(out[e], c) if e in out else c
+        if c != zero:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _sparse_neg(spec: FieldSpec, a: dict) -> dict:
+    neg = spec._neg
+    return {e: neg(c) for e, c in a.items()}
+
+
+def _sparse_mul(spec: FieldSpec, a: dict, b: dict) -> dict:
+    add, mul, zero, out = spec._add, spec._mul, spec.zero().value, {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            c = mul(c1, c2)
+            out[e] = add(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c != zero}

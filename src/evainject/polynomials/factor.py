@@ -58,7 +58,7 @@ from ..fields import (
     _power,
     is_prime,
 )
-from .core import UniPoly, _boxed, zero_multiplicity
+from .core import UniPoly, zero_multiplicity
 
 # Equal-degree splitting draws from Random(_SPLIT_SEED), made fresh per call.
 # Any value gives the same output: every split is a true factorization, the
@@ -189,8 +189,8 @@ def factor_finite(f: UniPoly):
     if f.degree < 1:
         raise ConstantPolynomialError("cannot factor a constant polynomial")
     spec = f.spec
-    factors = _fq_factor(spec, _poly_monic(spec, [c.value for c in f.coeffs]))
-    return f.leading, tuple((_boxed(spec, q), mult) for q, mult in factors)
+    factors = _fq_factor(spec, _poly_monic(spec, f.values))
+    return f.leading, tuple((UniPoly._from_values(spec, q), mult) for q, mult in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +301,12 @@ def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _zx_from_rationals(f: UniPoly) -> list[int]:
     """The primitive integer polynomial with positive leading coefficient
     that is a rational multiple of f over Q."""
-    den = math.lcm(*(c.value.denominator for c in f.coeffs))
-    return _zx_primitive([c.value.numerator * (den // c.value.denominator) for c in f.coeffs])
+    den = math.lcm(*(c.denominator for c in f.values))
+    return _zx_primitive([c.numerator * (den // c.denominator) for c in f.values])
 
 
 def _zx_to_monic(a: Sequence[int]) -> UniPoly:
-    return UniPoly.from_ints(QQ, [Fraction(c, a[-1]) for c in a])
+    return UniPoly._from_values(QQ, [Fraction(c, a[-1]) for c in a])
 
 
 # ---------------------------------------------------------------------------

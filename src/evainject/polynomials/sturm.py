@@ -42,7 +42,7 @@ def _variations(signs: list[int]) -> int:
 
 
 def _variations_at(chain: list[UniPoly], x: Fraction) -> int:
-    return _variations([_sign(p.eval(p.spec.element(x)).value) for p in chain])
+    return _variations([_sign(p.eval(x).value) for p in chain])
 
 
 def _variations_at_infinity(chain: list[UniPoly], positive: bool) -> int:
@@ -51,9 +51,9 @@ def _variations_at_infinity(chain: list[UniPoly], positive: bool) -> int:
         if p.is_zero():
             signs.append(0)
         elif positive:
-            signs.append(_sign(p.leading.value))
+            signs.append(_sign(p.values[-1]))
         else:
-            signs.append(_sign(p.leading.value) * (-1) ** p.degree)
+            signs.append(_sign(p.values[-1]) * (-1) ** p.degree)
     return _variations(signs)
 
 

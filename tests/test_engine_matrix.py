@@ -197,16 +197,36 @@ def test_matrix_oracle_agreement_over_f2():
 
 
 def test_matrix_scans_box_only_fiber_members(monkeypatch):
-    # the scans run on canonical values: a zero fiber boxes its members'
-    # n^2 entries, an injective complete scan next to nothing
+    # the scans run on canonical values and matrices store them: neither a
+    # zero fiber nor an injective complete scan builds a FieldElement
     f = U(F3, [0, 1, 0, 1])
     fiber, built = elements_built(monkeypatch, lambda: brute_force_zero_fiber(f, 2))
     assert len(fiber) == 6
-    assert built <= len(fiber) * 4 + 64
+    assert built == 0
     g = U(ExtensionField.from_order(4), [0, 1, 1, 0, 1])
     verdict, built = elements_built(monkeypatch, lambda: brute_force_matrix(g, 2))
     assert verdict.status is Status.INJECTIVE
-    assert built <= 64
+    assert built == 0
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_matrix_scans_reject_dimensions_below_one(n):
+    # no matrix is scanned below n = 1, so no scan may answer there
+    f = U(F3, [0, 0, 1])
+    with pytest.raises(DimensionTooSmallError):
+        brute_force_matrix(f, n)
+    with pytest.raises(DimensionTooSmallError):
+        brute_force_zero_fiber(f, n)
+    with pytest.raises(DimensionTooSmallError):
+        engine.search_matrix_collisions(U(QQ, [0, 0, 1]), n, 2)
+
+
+def test_matrix_scans_accept_dimension_one():
+    assert brute_force_matrix(U(F3, [0, 0, 1]), 1).status is Status.NOT_INJECTIVE
+    assert brute_force_matrix(U(F3, [0, 1]), 1).status is Status.INJECTIVE
+    assert brute_force_zero_fiber(U(F3, [0, 1, 1]), 1) == [Matrix.from_rows(F3, [[2]])]
+    w = engine.search_matrix_collisions(U(QQ, [0, 0, 1]), 1, 2)
+    assert (w.lhs, w.rhs) == (Matrix.from_rows(QQ, [[-1]]), Matrix.from_rows(QQ, [[1]]))
 
 
 def test_verify_witness_rejects_sizes_before_evaluating(monkeypatch):

@@ -1,14 +1,16 @@
 """Evaluation and matrix arithmetic on canonical values against boxed oracles.
 
 mat_poly_eval, Matrix products, sums and scaling, UniPoly.eval,
-UniPoly.compose_shift and MultiPoly.eval run on canonical values and box
-only their results.  Over F2, F3, F4, F9, F53 and Q, with n = 1..4, they
+UniPoly.compose_shift and MultiPoly.eval run on the canonical values the
+containers store.  Over F2, F3, F4, F9, F53 and Q, with n = 1..4, they
 must equal Horner, the triple loop and power products on boxed
 FieldElements (tests/oracles.py), on dense and on sparse matrices (zero,
 the index-2 nilpotent, a block-embedded companion) and for the zero and
 constant polynomials too.  The re-check must reject a pair whose images
-differ in one off-diagonal entry, and a degree-16 evaluation at a 3 x 3
-matrix must box no more than its 9 output entries.
+differ in one off-diagonal entry; a degree-16 evaluation at a 3 x 3
+matrix must build no FieldElement, and a scalar evaluation only the one
+it returns.  The boxed reads coeffs, entries and terms must give back
+equal containers with equal hashes through the public constructors.
 """
 import random
 from fractions import Fraction
@@ -144,15 +146,36 @@ def test_evaluation_boxes_only_its_result(spec, monkeypatch):
     for a in _matrices(spec, 3, rng):
         value, built = elements_built(monkeypatch, lambda: mat_poly_eval(f, a))
         assert value == boxed_mat_poly_eval(f, a)
-        assert built <= 9
+        assert built == 0
         _, built = elements_built(monkeypatch, lambda: a * a)
-        assert built <= 9
+        assert built == 0
     x = spec.element(3)
     value, built = elements_built(monkeypatch, lambda: f.eval(x))
     assert value == boxed_uni_eval(f, x)
-    assert built <= 1
+    assert built == 1
     g = MultiPoly.from_ints(spec, 2, {(3, 5): 2, (0, 7): -1, (1, 0): 4})
     point = (x, spec.element(5))
     value, built = elements_built(monkeypatch, lambda: g.eval(point))
     assert value == boxed_multi_eval(g, point)
-    assert built <= 1
+    assert built == 1
+
+
+@pytest.mark.parametrize("spec", [PrimeField(2), PrimeField(53), ExtensionField.from_order(4),
+                                  ExtensionField.from_order(9), QQ], ids=repr)
+def test_boxed_reads_rebuild_equal_containers(spec):
+    # coeffs, entries and terms box the stored values; the public
+    # constructors take them back to an equal object with an equal hash
+    rng = random.Random(65)
+    for f in _polys(spec, rng):
+        g = UniPoly(spec, f.coeffs)
+        assert g == f and hash(g) == hash(f)
+    for n in range(1, 4):
+        for a in _matrices(spec, n, rng):
+            b = Matrix(spec, a.entries)
+            assert b == a and hash(b) == hash(a)
+    for _ in range(10):
+        m = rng.randint(1, 3)
+        g = MultiPoly(spec, m, {tuple(rng.randint(0, 4) for _ in range(m)): _draw(spec, rng)
+                                for _ in range(rng.randint(0, 5))})
+        h = MultiPoly(spec, m, g.terms)
+        assert h == g and hash(h) == hash(g)

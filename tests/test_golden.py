@@ -129,6 +129,10 @@ CASES = [
     ["analyze", "--poly", "x1-x1", "--field", "Q", "--vars", "2", "--height", "1"],
     # a printed F_{p^k} coefficient outside F_p is bracketed: chosen_q x+[x], not x+x
     ["matrix", "--poly", "x^3+x^2+x", "--field", "F4", "--n", "2"],
+    # matrix scans need n >= 1: no empty scan answers, exit 64
+    ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "0"],
+    ["search", "--poly", "x^2", "--field", "Q", "--n", "0", "--height", "2"],
+    ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "-1"],
 ]
 
 
