@@ -10,9 +10,11 @@ Verbs
   verify      check a claimed collision pair given as --lhs / --rhs
 
 Exit codes: 0 Injective, 1 NotInjective, 2 Undecided or
-NecessaryConditionFails, 64 usage or domain error, 70 internal invariant
-failure.  Reports go to stdout as text (default) or JSON conforming to the
-shipped report_schema.json; diagnostics go to stderr.
+NecessaryConditionFails, 64 usage or domain error (input nested too deeply
+for the parsers included), 70 internal invariant failure or any other
+uncaught exception, with its traceback on stderr.  Reports go to stdout as
+text (default) or JSON conforming to the shipped report_schema.json;
+diagnostics go to stderr.
 
 Polynomial grammar: terms like "x^4+2*x+7" with explicit '*', rational
 coefficients like "3/4", unary minus, whitespace ignored; variables are x
@@ -82,11 +84,14 @@ def _parse_int(digits: str, text: str, at: int) -> int:
 
 
 def _parse_json(text: str, what: str):
-    """json.loads(text); a malformed or over-long literal is a ParseError."""
+    """json.loads(text); a malformed, over-long or too deeply nested literal
+    is a ParseError."""
     try:
         return json.loads(text)
     except ValueError as e:  # JSONDecodeError, or Python's int-string limit
         raise ParseError(f"bad {what} literal: {e}", text, 0) from None
+    except RecursionError:
+        raise ParseError(f"{what} literal nested too deeply", text, 0) from None
 
 
 def _tokenize(text: str):
@@ -263,8 +268,13 @@ class _PolyParser:
 
 
 def parse_poly(text: str, spec: FieldSpec, nvars: int | None = None):
-    """Parse a polynomial over spec; nvars selects the multivariate ring."""
-    return _PolyParser(text, spec, nvars).parse()
+    """Parse a polynomial over spec; nvars selects the multivariate ring.
+    Nesting (parentheses, unary minus) deeper than the recursive descent
+    can follow is a ParseError."""
+    try:
+        return _PolyParser(text, spec, nvars).parse()
+    except RecursionError:
+        raise ParseError("polynomial nested too deeply", text, 0) from None
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -591,6 +601,10 @@ def main(argv=None) -> int:
     except AlgebraError as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
+    except Exception:  # a bug, not a verdict: never exit 1, which means NotInjective
+        import traceback  # only a crash pays for this import at start-up
+        print("internal error:", traceback.format_exc(), sep="\n", file=sys.stderr)
+        return EX_INTERNAL
     if args.output == "json":
         print(json.dumps(report, sort_keys=True))
     else:

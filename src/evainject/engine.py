@@ -272,8 +272,7 @@ def verify_witness(f, lhs, rhs) -> Witness:
     return Witness(lhs, rhs, left)
 
 
-def _first_collision(f, points: Iterable, image=None,
-                     box=lambda point: point) -> Witness | None:
+def _first_collision(f, points: Iterable, image, box) -> Witness | None:
     """The first collision of f along points, re-checked by verify_witness.
 
     This is the one scan behind every reported collision.  Points are
@@ -289,16 +288,16 @@ def _first_collision(f, points: Iterable, image=None,
     * n x n matrices: flat row-major value tuples, itertools.product over
       the entry values, the last entry changing fastest.
 
-    A scan may compare image(point), a hashable key equal exactly when the
-    values of f are, in place of f's boxed value: rational scans key int
-    pairs by f's reduced pair; finite-field scalar, F_q^m and matrix scans
-    key canonical values (or tuples of them) by f's canonical value (or
-    tuple).  Only the two witness points are then boxed, and verify_witness
-    re-checks them.
+    Every scan brings its own key: image(point) is hashable and equal
+    exactly when the values of f are.  Rational scans key int pairs by f's
+    reduced pair; finite-field scalar, F_q^m and matrix scans key canonical
+    values (or tuples of them) by f's canonical value (or tuple).  Only the
+    two witness points are then boxed, by box, and verify_witness re-checks
+    them with its own evaluator, which shares no code with the keys.
     """
     seen = {}
     for point in points:
-        value = _evaluate(f, point) if image is None else image(point)
+        value = image(point)
         if value in seen:
             return verify_witness(f, box(seen[value]), box(point))
         seen[value] = point
@@ -446,10 +445,16 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     """Scan n x n matrices with grid entries for f(A) = f(B), A != B.
 
     The grid has len(rational_grid(height)) ** (n * n) points; exceeding
-    the cap raises before any grid point is built.
+    the cap raises before any grid point is built.  The grid has at least
+    2h^2 + 1 points (each phi(k) >= 1), so a height past that bound raises
+    before its size is sieved.
     """
     spec = _search_spec(f)
     _check_dimension(n)
+    least = 2 * height * height + 1
+    if least > cap:
+        raise EnumerationCapExceededError(
+            f"at least {least} candidate matrices exceed the cap {cap}; lower the height")
     total = _grid_size(height) ** (n * n)
     if total > cap:
         raise EnumerationCapExceededError(

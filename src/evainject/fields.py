@@ -18,6 +18,12 @@ Canonical values are
 Equality of elements is equality of canonical values, so witnesses verify
 bit-exactly.  There is no floating point anywhere in this package.
 
+The dense F[x] kernel (the _poly_* functions) works on lists of canonical
+values through a spec's hooks, one kernel for every field above:
+arithmetic, long division, gcds and modular powers, the formal derivative,
+distinct-degree splitting (which also decides whether an extension
+modulus is irreducible) and the printer of polynomials in x.
+
 ACF and RCF are verdict-only tags for the algebraically closed and real
 closed cases: they drive engine dispatch but never carry elements, and any
 attempt to construct an element in them raises SymbolicFieldError.
@@ -34,7 +40,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DivisionByZeroError,
@@ -93,9 +99,8 @@ def prime_power(q: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # Dense F[x] arithmetic on lists of canonical values (ascending degree,
 # trimmed) through a spec's _add/_neg/_mul/_inv hooks: one kernel for F_p
-# (plain int lists), F_{p^k} and Q.  Extension-field canonical forms, the
-# Rabin test below, factoring (polynomials/factor.py) and UniPoly's
-# arithmetic, division and gcds all run on it.
+# (plain int lists), F_{p^k} and Q.  ExtensionField, factoring
+# (polynomials/factor.py), UniPoly and MultiPoly's printing run on it.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: list, zero) -> list:
@@ -174,49 +179,79 @@ def _poly_powmod(spec: FieldSpec, a: Sequence, e: int, mod: Sequence) -> list:
                   lambda u, v: _poly_divmod(spec, _poly_mul(spec, u, v), mod)[1])
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+def _poly_derivative(spec: FieldSpec, a: Sequence) -> list:
+    """Formal derivative; in characteristic p the terms i*c with p | i vanish."""
+    add, mul, zero, one = spec._add, spec._mul, spec.zero().value, spec.one().value
+    out, i = [], zero
+    for c in a[1:]:
+        i = add(i, one)     # the integer i as a field value
+        out.append(mul(i, c))
+    return _poly_trim(out, zero)
+
+
+def _poly_distinct_degree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
+    """Monic f over a finite field -> [(g, d)], g the product of the distinct
+    irreducible factors of degree d of what earlier steps left of f.
+
+    For a squarefree f the g multiply to f.  For any f of degree k, the
+    result is [(f, k)] exactly when f is irreducible: a reducible f has an
+    irreducible factor of degree at most k/2, and the step at that degree
+    finds it.
+    """
+    q, zero, one = spec.order, spec.zero().value, spec.one().value
+    minus_x = [zero, spec._neg(one)]
+    out: list[tuple[list, int]] = []
+    h = _poly_divmod(spec, [zero, one], f)[1]
+    d = 1
+    while len(f) - 1 >= 2 * d:
+        h = _poly_powmod(spec, h, q, f)
+        g = _poly_gcd(spec, f, _poly_add(spec, h, minus_x))
+        if len(g) > 1:
+            out.append((g, d))
+            f = _poly_divmod(spec, f, g)[0]
+            h = _poly_divmod(spec, h, f)[1]
         d += 1
-    if n > 1:
-        out.append(n)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _gf_is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Rabin test: monic m of degree k is irreducible over F_p iff
-    x^(p^k) = x mod m and gcd(x^(p^(k/l)) - x, m) = 1 for prime l | k."""
-    k = len(m) - 1
-    if k < 1:
-        return False
-    spec, x, minus_x = PrimeField(p), [0, 1], [0, p - 1]
-    for ell in _prime_divisors(k):
-        h = _poly_add(spec, _poly_powmod(spec, x, p ** (k // ell), m), minus_x)
-        if len(_poly_gcd(spec, h, m)) != 1:
-            return False
-    return not _poly_add(spec, _poly_powmod(spec, x, p ** k, m), minus_x)
+def _term_str(spec: FieldSpec, c, body: str) -> str:
+    """One printed term c*body for a canonical value c (body "" for the
+    constant term); negative rationals keep their sign on the coefficient.
+    A coefficient of F_{p^k} outside F_p prints as its generator polynomial
+    in brackets, "[x+1]", which no variable x of the polynomial can be read
+    into."""
+    cs = spec._format(c)
+    if isinstance(spec, ExtensionField) and any(c[1:]):
+        cs = f"[{cs}]"
+    if not body:
+        return cs
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return "-" + body
+    return f"{cs}*{body}"
 
 
-def _gf_poly_str(coeffs: Sequence[int], var: str = "x") -> str:
-    if not coeffs:
+def _join_terms(parts: Iterable[str]) -> str:
+    """Terms joined by "+", except before a term that carries its own sign."""
+    parts = list(parts)
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+def _poly_str(spec: FieldSpec, a: Sequence, descending: bool = True) -> str:
+    """Trimmed ascending values a printed as a polynomial in x, in the
+    grammar the CLI parses (cli.parse_poly)."""
+    if not a:
         return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(var if c == 1 else f"{c}*{var}")
-        else:
-            parts.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
-    return "+".join(parts) if parts else "0"
+    zero = spec.zero().value
+    idx = range(len(a) - 1, -1, -1) if descending else range(len(a))
+    return _join_terms(_term_str(spec, a[i], "" if i == 0 else ("x" if i == 1 else f"x^{i}"))
+                       for i in idx if a[i] != zero)
 
 
 # Irreducible defining polynomials for the bare "Fq" spellings with
@@ -387,7 +422,7 @@ class ExtensionField(FieldSpec):
     is_finite = True
 
     def __new__(cls, p: int, modulus: Sequence[int]):
-        PrimeField(p)  # checks p once per process
+        base = PrimeField(p)  # checks p once per process
         mod = tuple(_poly_trim([c % p for c in modulus], 0))
         key = (cls, p, mod)
         field = _FIELDS.get(key)
@@ -396,9 +431,9 @@ class ExtensionField(FieldSpec):
                 raise InvalidFieldError("extension modulus must have degree >= 2")
             if mod[-1] != 1:
                 raise InvalidFieldError("extension modulus must be monic")
-            if not _gf_is_irreducible(mod, p):
+            if _poly_distinct_degree(base, list(mod)) != [(list(mod), len(mod) - 1)]:
                 raise InvalidFieldError(
-                    f"modulus {_gf_poly_str(mod)} is reducible over F{p}")
+                    f"modulus {_poly_str(base, mod)} is reducible over F{p}")
             field = object.__new__(cls)
             field.p = p
             field.modulus = mod
@@ -472,10 +507,10 @@ class ExtensionField(FieldSpec):
         return sum(c * self.p ** i for i, c in enumerate(a))
 
     def _format(self, a) -> str:
-        return _gf_poly_str(_poly_trim(list(a), 0))
+        return _poly_str(PrimeField(self.p), _poly_trim(list(a), 0))
 
     def __repr__(self):
-        return f"F{self.order}:modulus={_gf_poly_str(self.modulus)}"
+        return f"F{self.order}:modulus={_poly_str(PrimeField(self.p), self.modulus)}"
 
     @classmethod
     def from_order(cls, q: int) -> "ExtensionField":

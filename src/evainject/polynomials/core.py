@@ -4,11 +4,12 @@ UniPoly stores the canonical values of its coefficients (fields.py) as a
 tuple, ascending degree, with trailing zeros stripped; the zero polynomial
 has an empty tuple and degree -1.  MultiPoly stores a map from exponent
 tuples to nonzero canonical values.  All arithmetic runs on these values:
-products, division and gcds through the F[x] kernel of fields.py
-(fields._poly_*), everything else through the spec's hooks.  A FieldElement
-is built only where the API hands one out: coeffs, leading, coeff(i),
-constant_term and terms box on every read, and eval boxes its result.
-All arithmetic is exact.
+products, division, gcds and the derivative through the F[x] kernel of
+fields.py (fields._poly_*), everything else through the spec's hooks; both
+classes print through the kernel's term printer.  A FieldElement is built
+only where the API hands one out: coeffs, leading, coeff(i), constant_term
+and terms box on every read, and eval boxes its result.  All arithmetic is
+exact.
 """
 from __future__ import annotations
 
@@ -25,18 +26,21 @@ from ..errors import (
     ZeroPolynomialError,
 )
 from ..fields import (
-    ExtensionField,
     FieldElement,
     FieldSpec,
     Rationals,
+    _join_terms,
     _poly_add,
+    _poly_derivative,
     _poly_divmod,
     _poly_gcd,
     _poly_monic,
     _poly_mul,
+    _poly_str,
     _poly_trim,
     _poly_xgcd,
     _power,
+    _term_str,
 )
 
 
@@ -207,13 +211,7 @@ class UniPoly(_Frozen):
 
     def derivative(self) -> "UniPoly":
         """Formal derivative; characteristic-p cancellation applies."""
-        spec = self.spec
-        add, mul, one = spec._add, spec._mul, spec.one().value
-        out, i = [], spec.zero().value
-        for c in self.values[1:]:
-            i = add(i, one)  # the value of the exponent in spec
-            out.append(mul(i, c))
-        return UniPoly._from_values(spec, out)
+        return UniPoly._from_values(self.spec, _poly_derivative(self.spec, self.values))
 
     def compose_shift(self, b: FieldElement) -> "UniPoly":
         """Return f(x + b), by Horner on coefficient values."""
@@ -237,48 +235,14 @@ class UniPoly(_Frozen):
         """Total order on canonical coefficient sequences (degree first)."""
         return (self.degree, tuple(map(self.spec._sort_key, self.values)))
 
-    def format(self, descending: bool = True, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        zero = self.spec.zero().value
-        idx = range(len(self.values) - 1, -1, -1) if descending else range(len(self.values))
-        return _join_terms(
-            _term_str(self.spec, self.values[i],
-                      "" if i == 0 else (var if i == 1 else f"{var}^{i}"))
-            for i in idx if self.values[i] != zero)
+    def format(self, descending: bool = True) -> str:
+        return _poly_str(self.spec, self.values, descending)
 
     def __str__(self):
         return self.format()
 
     def __repr__(self):
         return f"UniPoly({self.spec}, {self})"
-
-
-def _term_str(spec: FieldSpec, c, body: str) -> str:
-    """One printed term c*body for a canonical value c (body "" for the
-    constant term); negative rationals keep their sign on the coefficient.
-    A coefficient of F_{p^k} outside F_p prints as its generator polynomial
-    in brackets, "[x+1]", which no variable x of the polynomial can be read
-    into."""
-    cs = spec._format(c)
-    if isinstance(spec, ExtensionField) and any(c[1:]):
-        cs = f"[{cs}]"
-    if not body:
-        return cs
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return "-" + body
-    return f"{cs}*{body}"
-
-
-def _join_terms(parts: Iterable[str]) -> str:
-    """Terms joined by "+", except before a term that carries its own sign."""
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
 
 
 def gcd_poly(a: UniPoly, b: UniPoly) -> UniPoly:

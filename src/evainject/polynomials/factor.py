@@ -4,12 +4,14 @@ Everything below runs on canonical values and plain ints; only the sorted
 output factors become UniPolys.
 
 Finite fields: one path for F_p and F_{p^k}, the _fq_* functions, on lists
-of canonical values through the F[x] kernel of fields.py (fields._poly_*):
-squarefree decomposition (with the characteristic-p root extraction step
-when the derivative vanishes), then distinct-degree splitting, then
-equal-degree splitting (Cantor-Zassenhaus) seeded by a private constant.
-The factor list is sorted into a canonical order, so the output does not
-depend on the random path at all.
+of canonical values through the F[x] kernel of fields.py (fields._poly_*),
+which also owns the derivative and distinct-degree splitting: squarefree
+decomposition (with the characteristic-p root extraction step when the
+derivative vanishes), then distinct-degree splitting
+(fields._poly_distinct_degree, also the extension-modulus irreducibility
+test), then equal-degree splitting (Cantor-Zassenhaus) seeded by a private
+constant.  The factor list is sorted into a canonical order, so the output
+does not depend on the random path at all.
 
 Rationals: Yun's squarefree decomposition on the primitive integer
 polynomial (the _zx_* functions, gcds by primitive remainder sequences),
@@ -48,6 +50,8 @@ from ..fields import (
     PrimeField,
     Rationals,
     _poly_add,
+    _poly_derivative,
+    _poly_distinct_degree,
     _poly_divmod,
     _poly_gcd,
     _poly_monic,
@@ -73,15 +77,6 @@ COEFF_BIT_CAP = 256
 # through the fields._poly_* kernel: one path for F_p and F_{p^k}
 # ---------------------------------------------------------------------------
 
-def _fq_derivative(spec: FieldSpec, a: Sequence) -> list:
-    add, mul, zero, one = spec._add, spec._mul, spec.zero().value, spec.one().value
-    out, i = [], zero
-    for c in a[1:]:
-        i = add(i, one)     # the integer i as a field value
-        out.append(mul(i, c))
-    return _poly_trim(out, zero)
-
-
 def _fq_pth_root(spec: FieldSpec, a: Sequence) -> list:
     """g with g(x^p) = a, for a with a' = 0: Frobenius c -> c^p is inverted
     on F_q by c -> c^(q/p), which is the identity on F_p."""
@@ -93,7 +88,7 @@ def _fq_squarefree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
     """Monic f -> coprime monic squarefree parts with multiplicities.
     Quotients of monic polynomials are monic, so no part needs rescaling."""
     p = spec.characteristic
-    fp = _fq_derivative(spec, f)
+    fp = _poly_derivative(spec, f)
     if not fp:
         return [(s, m * p) for s, m in _fq_squarefree(spec, _fq_pth_root(spec, f))]
     out: list[tuple[list, int]] = []
@@ -110,26 +105,6 @@ def _fq_squarefree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
         i += 1
     if len(c) > 1:
         out.extend((s, m * p) for s, m in _fq_squarefree(spec, _fq_pth_root(spec, c)))
-    return out
-
-
-def _fq_distinct_degree(spec: FieldSpec, f: list) -> list[tuple[list, int]]:
-    """Squarefree monic f -> [(product of its irreducible factors of degree d, d)]."""
-    q, zero, one = spec.order, spec.zero().value, spec.one().value
-    minus_x = [zero, spec._neg(one)]
-    out: list[tuple[list, int]] = []
-    h = _poly_divmod(spec, [zero, one], f)[1]
-    d = 1
-    while len(f) - 1 >= 2 * d:
-        h = _poly_powmod(spec, h, q, f)
-        g = _poly_gcd(spec, f, _poly_add(spec, h, minus_x))
-        if len(g) > 1:
-            out.append((g, d))
-            f = _poly_divmod(spec, f, g)[0]
-            h = _poly_divmod(spec, h, f)[1]
-        d += 1
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
     return out
 
 
@@ -168,7 +143,7 @@ def _fq_factor(spec: FieldSpec, f: list) -> list[tuple[tuple, int]]:
     rng = Random(_SPLIT_SEED)
     collected: dict[tuple, int] = {}
     for part, mult in _fq_squarefree(spec, f):
-        for prod, d in _fq_distinct_degree(spec, part):
+        for prod, d in _poly_distinct_degree(spec, part):
             for irr in _fq_equal_degree(spec, prod, d, rng):
                 key = tuple(irr)
                 collected[key] = collected.get(key, 0) + mult
@@ -411,9 +386,10 @@ def _good_prime(s: list[int]) -> int:
     p = 3
     while p < 100_000:
         if is_prime(p) and lc % p != 0:
-            smod = _poly_trim([c % p for c in s], 0)
-            dmod = _poly_trim([(i * s[i]) % p for i in range(1, len(s))], 0)
-            if dmod and len(_poly_gcd(PrimeField(p), smod, dmod)) == 1:
+            spec = PrimeField(p)
+            smod = [c % p for c in s]   # lc(s) is a unit mod p: no trimming
+            dmod = _poly_derivative(spec, smod)
+            if dmod and len(_poly_gcd(spec, smod, dmod)) == 1:
                 return p
         p += 2
     raise InternalInvariantError("no usable prime below 100000")

@@ -9,8 +9,9 @@ long division, Euclid and extended Euclid, matrix products and the
 evaluation of polynomials at scalars, points, matrices and x + b run on
 boxed FieldElements (the library runs them on canonical values:
 fields._poly_*, matrices._product, UniPoly.eval, UniPoly.compose_shift and
-MultiPoly.eval).  elements_built counts the FieldElements a call builds,
-for the tests that keep work on values.
+MultiPoly.eval).  Each read of coeffs or entries boxes the whole container,
+so the oracles read each container once per call.  elements_built counts
+the FieldElements a call builds, for the tests that keep work on values.
 """
 from __future__ import annotations
 
@@ -36,12 +37,12 @@ def monic_polys(spec, degree):
 
 def boxed_mul(a, b):
     """a * b by the schoolbook product on FieldElements."""
-    spec = a.spec
-    if a.is_zero() or b.is_zero():
+    spec, a, b = a.spec, a.coeffs, b.coeffs
+    if not a or not b:
         return UniPoly.zero(spec)
-    out = [spec.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    out = [spec.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return UniPoly(spec, out)
 
@@ -49,15 +50,14 @@ def boxed_mul(a, b):
 def boxed_divmod(a, b):
     """(q, r) with a = q*b + r, deg r < deg b, by long division on
     FieldElements; b nonzero."""
-    spec = a.spec
-    q = [spec.zero()] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    r = list(a.coeffs)
-    inv_lead = b.leading.inv()
-    while len(r) - 1 >= b.degree:
-        shift = len(r) - 1 - b.degree
+    spec, r, b = a.spec, list(a.coeffs), b.coeffs
+    q = [spec.zero()] * max(len(r) - len(b) + 1, 0)
+    inv_lead = b[-1].inv()
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
         c = r[-1] * inv_lead
         q[shift] = c
-        for i, bi in enumerate(b.coeffs):
+        for i, bi in enumerate(b):
             r[shift + i] = r[shift + i] - c * bi
         while r and r[-1].is_zero():
             r.pop()
@@ -96,12 +96,12 @@ def boxed_powmod(a, e, mod):
 
 def boxed_matmul(a, b):
     """a * b for n x n matrices by the triple loop on FieldElements."""
-    n, spec = a.n, a.spec
+    n, spec, a, b = a.n, a.spec, a.entries, b.entries
     out = [[spec.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[i][j] = out[i][j] + a.entries[i][k] * b.entries[k][j]
+                out[i][j] = out[i][j] + a[i][k] * b[k][j]
     return Matrix(spec, out)
 
 
@@ -111,8 +111,8 @@ def boxed_mat_poly_eval(f, a):
     n, spec = a.n, a.spec
     acc = Matrix.zeros(spec, n)
     for c in reversed(f.coeffs):
-        product = boxed_matmul(acc, a)
-        acc = Matrix(spec, [[product.entries[i][j] + (c if i == j else spec.zero())
+        product = boxed_matmul(acc, a).entries
+        acc = Matrix(spec, [[product[i][j] + (c if i == j else spec.zero())
                              for j in range(n)] for i in range(n)])
     return acc
 
@@ -173,9 +173,9 @@ def trial_division_factor(f):
 def charpoly_cofactor(a: Matrix) -> UniPoly:
     """det(x*I - A) by cofactor expansion along the first row."""
     spec = a.spec
-    x = UniPoly.x(spec)
-    grid = [[x - UniPoly.constant(spec, a.entries[i][j])
-             if i == j else -UniPoly.constant(spec, a.entries[i][j])
+    x, entries = UniPoly.x(spec), a.entries
+    grid = [[x - UniPoly.constant(spec, entries[i][j])
+             if i == j else -UniPoly.constant(spec, entries[i][j])
              for j in range(a.n)] for i in range(a.n)]
     return _det(grid, spec)
 
@@ -212,7 +212,8 @@ def power_sum_eval(f, point):
         acc = Matrix.zeros(point.spec, n)
         power = Matrix.identity(point.spec, n)
         for c in f.coeffs:
-            acc = Matrix(point.spec, [[acc.entries[i][j] + c * power.entries[i][j]
+            acc_rows, power_rows = acc.entries, power.entries
+            acc = Matrix(point.spec, [[acc_rows[i][j] + c * power_rows[i][j]
                                        for j in range(n)] for i in range(n)])
             power = boxed_matmul(power, point)
         return acc

@@ -100,6 +100,39 @@ def test_cli_matrix_search_refuses_a_huge_height_promptly(capsys):
     assert "exceed the cap" in capsys.readouterr().err
 
 
+def test_cli_matrix_search_refuses_before_sieving_a_huge_height(capsys):
+    # the grid has at least 2h^2 + 1 points, so a height whose bound already
+    # exceeds the cap is refused before the totient sieve lists h + 1 ints
+    result = {}
+    argv = ["search", "--poly", "x^2", "--field", "Q", "--n", "2", "--height", "3000000"]
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "the search did not refuse within 2 s"
+    assert result["code"] == 64
+    assert "exceed the cap" in capsys.readouterr().err
+
+
+NESTED_TOO_DEEPLY = [
+    ["analyze", "--field", "Q", "--poly", "(" * 200 + "x" + ")" * 200],
+    ["analyze", "--field", "Q", "--poly=" + "-" * 2000 + "x"],
+    ["verify", "--poly", "x", "--field", "Q", "--rhs", "1", "--lhs", "[" * 3000 + "]" * 3000],
+]
+
+
+@pytest.mark.parametrize("argv", NESTED_TOO_DEEPLY)
+def test_cli_input_nested_too_deeply_is_a_parse_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 64
+    assert "nested too deeply" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_parser_follows_moderate_nesting():
+    assert parse_poly("(" * 50 + "x" + ")" * 50, QQ) == UniPoly.x(QQ)
+    assert parse_poly("-" * 50 + "x", QQ) == UniPoly.x(QQ)
+
+
 def test_cli_pigeonhole_answers_a_huge_exponent_promptly(capsys):
     # exponents fold below q before the F_q^m scan, so x1^(10^8) costs
     # no more than x1^k for some k < 7
@@ -321,6 +354,20 @@ def test_cli_internal_invariant_maps_to_70(capsys, monkeypatch):
     code, _, err = _run(capsys, ["permcheck", "--poly", "x^2", "--field", "F5"])
     assert code == 70
     assert "internal invariant failure" in err
+
+
+def test_cli_uncaught_exception_maps_to_70(capsys, monkeypatch):
+    # exit 1 means NotInjective, so a crash must not exit with Python's 1
+    from evainject.cli import engine as cli_engine
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced for the exit-code test")
+
+    monkeypatch.setattr(cli_engine, "permutation_verdict", boom)
+    code, out, err = _run(capsys, ["permcheck", "--poly", "x^2", "--field", "F5"])
+    assert code == 70
+    assert "Traceback" in err and "RuntimeError: forced for the exit-code test" in err
+    assert out == ""
 
 
 def test_cli_extension_field_run(capsys):

@@ -1,12 +1,12 @@
 """Factoring against independent oracles.
 
 factor_finite over F_p and factor_rationals over Q are compared with the
-installed sympy's factor_list (modulus=p, and over QQ) on hypothesis-drawn
-polynomials, squares of random factors mixed in so that multiplicities
-above one and characteristic-p derivatives that vanish both occur.  Over
-F4, F8 and F9, where sympy has no counterpart, the factors must rebuild the
-input, and those of degree 2 or 3 must have no root in the field (so they
-are irreducible).  factor_profile is pinned on a fixed list.
+installed sympy's factor_list (of a Poly with modulus=p, and over QQ) on
+hypothesis-drawn polynomials, squares of random factors mixed in so that
+multiplicities above one and characteristic-p derivatives that vanish both
+occur.  Over F4, F8 and F9, where sympy has no counterpart, the factors
+must rebuild the input, and those of degree 2 or 3 must have no root in the
+field (so they are irreducible).  factor_profile is pinned on a fixed list.
 """
 from fractions import Fraction
 
@@ -67,7 +67,7 @@ def test_factor_finite_matches_sympy(f):
     if f.degree < 1:
         return
     unit, factors = factor_finite(f)
-    _, expected = sympy.factor_list(_sympy_expr(f), X, modulus=p)
+    _, expected = sympy.Poly(_sympy_expr(f), X, modulus=p).factor_list()
     oracle = {}
     for g, e in expected:
         ints = [int(c) % p for c in sympy.Poly(g, X).all_coeffs()[::-1]]

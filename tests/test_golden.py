@@ -133,6 +133,10 @@ CASES = [
     ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "0"],
     ["search", "--poly", "x^2", "--field", "Q", "--n", "0", "--height", "2"],
     ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "-1"],
+    # input nested deeper than the parsers follow: exit 64, no traceback
+    ["analyze", "--field", "Q", "--poly", "(" * 200 + "x" + ")" * 200],
+    ["analyze", "--field", "Q", "--poly=" + "-" * 2000 + "x"],
+    ["verify", "--poly", "x", "--field", "Q", "--rhs", "1", "--lhs", "[" * 3000 + "]" * 3000],
 ]
 
 

@@ -5,9 +5,10 @@ powers must equal the installed sympy's div, gcd, gcdex and rem of a
 power.  Over F4, F8 and F9, where sympy has no counterpart, they must equal
 long division and Euclid on boxed FieldElements (tests/oracles.py).  Over
 every field the results must satisfy a = q*b + r with deg r < deg b, and
-s*a + t*b = g with g monic and dividing both.  The Rabin test on an
-extension modulus must agree with sympy's irreducibility test on every
-monic polynomial of small degree over small primes.
+s*a + t*b = g with g monic and dividing both.  Distinct-degree splitting,
+which decides whether an extension modulus is irreducible, must agree with
+sympy's irreducibility test on every monic polynomial of small degree over
+small primes.
 """
 import itertools
 from fractions import Fraction
@@ -21,7 +22,7 @@ from oracles import boxed_divmod, boxed_gcd, boxed_mul, boxed_xgcd
 from evainject import QQ, ExtensionField, FieldElement, PrimeField, UniPoly
 from evainject.errors import InvalidFieldError
 from evainject.fields import (
-    _gf_is_irreducible,
+    _poly_distinct_degree,
     _poly_divmod,
     _poly_gcd,
     _poly_powmod,
@@ -128,12 +129,12 @@ def test_division_and_bezout_identities(operand):
 
 @pytest.mark.parametrize("p, degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)),
                                         (5, (2, 3)), (7, (2, 3))])
-def test_rabin_matches_sympy_on_every_small_monic(p, degrees):
+def test_distinct_degree_irreducibility_matches_sympy_on_every_small_monic(p, degrees):
     for k in degrees:
         for low in itertools.product(range(p), repeat=k):
             m = list(low) + [1]
             irreducible = sympy.Poly(m[::-1], X, modulus=p).is_irreducible
-            assert _gf_is_irreducible(m, p) == irreducible, m
+            assert (_poly_distinct_degree(PrimeField(p), m) == [(m, k)]) == irreducible, m
             if irreducible:
                 assert ExtensionField(p, m).order == p ** k
             else:
