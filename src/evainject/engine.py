@@ -39,13 +39,12 @@ witnesses are reproducible.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     AlgebraError,
@@ -285,15 +284,19 @@ def _first_collision(f, points: Iterable, image, box) -> Witness | None:
     * rational grid: rational_grid(height), by denominator, then numerator;
     * F^m and Q^m: itertools.product over the coordinate list, the last
       coordinate changing fastest;
-    * n x n matrices: flat row-major value tuples, itertools.product over
-      the entry values, the last entry changing fastest.
+    * n x n matrices: flat row-major entry tuples, itertools.product over
+      the entries (F_q by index, the rational grid in its order), the last
+      entry changing fastest.
 
     Every scan brings its own key: image(point) is hashable and equal
     exactly when the values of f are.  Rational scans key int pairs by f's
-    reduced pair; finite-field scalar, F_q^m and matrix scans key canonical
-    values (or tuples of them) by f's canonical value (or tuple).  Only the
-    two witness points are then boxed, by box, and verify_witness re-checks
-    them with its own evaluator, which shares no code with the keys.
+    reduced pair, and a matrix of grid pairs by the reduced integer matrix
+    and denominator of f(A); finite-field scalar and F_q^m scans key
+    canonical values (or tuples of them) by f's canonical value, and
+    M_n(F_q) scans key index tuples into FieldSpec.values() by f(A)'s index
+    tuple, through q x q tables.  Only the two witness points are then
+    boxed, by box, and verify_witness re-checks them with its own
+    evaluator, which shares no code with the keys.
     """
     seen = {}
     for point in points:
@@ -345,6 +348,29 @@ def _grid_size(height: int) -> int:
             for multiple in range(k, height + 1, k):
                 phi[multiple] -= phi[multiple] // k
     return 1 + 2 * height * sum(phi[1:])
+
+
+_PRINTED_BITS = 4096
+
+
+def _scan_size(base: int, exponent: int, cap: int, what: str, hint: str = "") -> int:
+    """base ** exponent, the number of points a complete scan visits, if it
+    is at most cap; else EnumerationCapExceededError, exit 64 in the CLI.
+
+    The message prints the size in full up to _PRINTED_BITS bits, far below
+    the 4,300 digits int-to-str allows, and as base^exponent past that.
+    Since base ** exponent >= 2^(exponent * (bit_length(base) - 1)), a power
+    whose bound passes both cap and that limit is refused before it is
+    built, so a huge exponent costs nothing.
+    """
+    size = f"{base}^{exponent}"
+    if exponent * (base.bit_length() - 1) <= max(cap.bit_length(), _PRINTED_BITS):
+        total = base ** exponent
+        if total <= cap:
+            return total
+        if total.bit_length() <= _PRINTED_BITS:
+            size = str(total)
+    raise EnumerationCapExceededError(f"{size} {what} exceed the cap {cap}{hint}")
 
 
 def _rational_image(f: UniPoly):
@@ -418,25 +444,65 @@ def _multi_image(f: MultiPoly):
     return image
 
 
-def _matrix_image(f: UniPoly, n: int):
-    """The key of f(A) for A's flat row-major value tuple: the flat tuple of
-    f(A)'s canonical values, by Horner through the spec's value hooks."""
-    add, mul, zero = f.spec._add, f.spec._mul, f.spec.zero().value
-    lead, *rest = f.values[::-1] or [zero]
-    cells = [(i == j, [(i * n + k, k * n + j) for k in range(n)])
-             for i in range(n) for j in range(n)]
+def _matrix_cells(n: int) -> list[tuple[bool, list[tuple[int, int]]]]:
+    """Entry (i, j) of a product of flat row-major n x n matrices X * A:
+    whether it is on the diagonal, and the flat positions (i*n+k, k*n+j)
+    of the factors X[i][k] * A[k][j] that sum to it."""
+    return [(i == j, [(i * n + k, k * n + j) for k in range(n)])
+            for i in range(n) for j in range(n)]
+
+
+def _table_matrix_image(f: UniPoly, n: int, values: list):
+    """The key of f(A) over F_q for A's flat row-major tuple of indices into
+    values = list(f.spec.values()): the flat index tuple of f(A), by Horner
+    on q x q addition and multiplication tables of indices.  The tables are
+    built here from the spec's value hooks, so the scan itself calls none."""
+    spec = f.spec
+    index = {v: i for i, v in enumerate(values)}
+    add = [[index[spec._add(a, b)] for b in values] for a in values]
+    mul = [[index[spec._mul(a, b)] for b in values] for a in values]
+    zero = index[spec.zero().value]
+    lead, *rest = [index[c] for c in reversed(f.values)] or [zero]
+    cells = _matrix_cells(n)
+    start = [lead if on_diagonal else zero for on_diagonal, _ in cells]
 
     def image(a: tuple) -> tuple:
-        acc = [lead if on_diagonal else zero for on_diagonal, _ in cells]
+        times = [mul[y] for y in a]  # times[y][x] is the index of x * a[y]
+        acc = start
         for c in rest:  # acc = acc * a + c * I
             product = []
             for on_diagonal, pairs in cells:
                 entry = c if on_diagonal else zero
                 for x, y in pairs:
-                    entry = add(entry, mul(acc[x], a[y]))
+                    entry = add[entry][times[y][acc[x]]]
                 product.append(entry)
             acc = product
         return tuple(acc)
+    return image
+
+
+def _rational_matrix_image(f: UniPoly, n: int):
+    """The key of f(A) over Q for A's flat row-major tuple of (num, den)
+    grid pairs: with f = P/D, P in Z[x], d = deg f, L the lcm of A's
+    denominators and B = L*A in Z^(n x n), the int matrix N = sum P_i B^i
+    L^(d-i), by homogenized Horner, over D*L^d, reduced by the gcd of the
+    denominator and every entry.  That reduced pair is canonical."""
+    lcm = math.lcm(*(c.denominator for c in f.values))
+    lead, *rest = [int(c * lcm) for c in reversed(f.values)] or [0]
+    cells = _matrix_cells(n)
+    start = [lead if on_diagonal else 0 for on_diagonal, _ in cells]
+
+    def image(point: tuple) -> tuple:
+        common = math.lcm(*[den for _, den in point])
+        scaled = [num * (common // den) for num, den in point]  # B
+        acc, power = start, 1
+        for c in rest:  # acc = acc * B + c * L^k * I at the k-th step
+            power *= common
+            acc = [sum([acc[x] * scaled[y] for x, y in pairs], c * power if on_diagonal else 0)
+                   for on_diagonal, pairs in cells]
+        den = lcm * power
+        g = math.gcd(den, *acc)
+        return tuple([x // g for x in acc]), den // g
     return image
 
 
@@ -444,10 +510,13 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
                              cap: int = DEFAULT_BOUNDS.matrix_cap) -> Witness | None:
     """Scan n x n matrices with grid entries for f(A) = f(B), A != B.
 
-    The grid has len(rational_grid(height)) ** (n * n) points; exceeding
-    the cap raises before any grid point is built.  The grid has at least
-    2h^2 + 1 points (each phi(k) >= 1), so a height past that bound raises
-    before its size is sieved.
+    The scan runs over itertools.product of the rational_grid(height) pairs
+    (num, den), so matrices come in the documented order; each is keyed on
+    plain ints by _rational_matrix_image and only the two witness matrices
+    are boxed.  The grid has len(rational_grid(height)) ** (n * n) points;
+    exceeding the cap raises before any grid point is built.  The grid has
+    at least 2h^2 + 1 points (each phi(k) >= 1), so a height past that bound
+    raises before its size is sieved.
     """
     spec = _search_spec(f)
     _check_dimension(n)
@@ -455,13 +524,11 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     if least > cap:
         raise EnumerationCapExceededError(
             f"at least {least} candidate matrices exceed the cap {cap}; lower the height")
-    total = _grid_size(height) ** (n * n)
-    if total > cap:
-        raise EnumerationCapExceededError(
-            f"{total} candidate matrices exceed the cap {cap}; lower the height")
-    points = itertools.product(rational_grid(height), repeat=n * n)
-    return _first_collision(f, points, _matrix_image(f, n),
-                            functools.partial(Matrix._from_values, spec, n))
+    _scan_size(_grid_size(height), n * n, cap, "candidate matrices", "; lower the height")
+    points = itertools.product(list(_grid_pairs(height)), repeat=n * n)
+    return _first_collision(
+        f, points, _rational_matrix_image(f, n),
+        lambda point: Matrix._from_values(spec, n, [Fraction(*p) for p in point]))
 
 
 def search_verdict(f: UniPoly, n: int | None,
@@ -488,12 +555,10 @@ def search_tuple_collisions(f: MultiPoly, height: int,
     Returns (witness or None, effective height used).
     """
     _search_spec(f)
+    _scan_size(_grid_size(1), f.m, cap, "points even at height 1")
     h = 1
     while h < height and _grid_size(h + 1) ** f.m <= cap:
         h += 1
-    if _grid_size(h) ** f.m > cap:
-        raise EnumerationCapExceededError(
-            f"even height 1 yields {_grid_size(h) ** f.m} points over the cap {cap}")
     points = rational_grid(h)
     return _first_collision(
         f, itertools.product(range(len(points)), repeat=f.m), _tuple_image(f, points),
@@ -891,10 +956,7 @@ def multivariate_injectivity(f: MultiPoly, spec: FieldSpec | None = None,
 
     if spec.is_finite:
         q = spec.order
-        total = q ** f.m
-        if total > bounds.matrix_cap:
-            raise EnumerationCapExceededError(
-                f"q^m = {total} points exceed the enumeration cap {bounds.matrix_cap}")
+        total = _scan_size(q, f.m, bounds.matrix_cap, "points")
         values = list(spec.values())
         w = _first_collision(f, itertools.product(values, repeat=f.m),
                              _multi_image(f),
@@ -969,30 +1031,47 @@ def _check_dimension(n: int):
         raise DimensionTooSmallError(f"matrix dimension n={n} must be at least 1")
 
 
-def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None,
-                     bounds: Bounds) -> tuple[int, Iterable[tuple]]:
-    """The size of M_n(F_q) and its flat value tuples in scan order, for the
-    oracles below, once the field and the cap allow a complete enumeration."""
+def _oracle_matrices(f: UniPoly, n: int, spec: FieldSpec | None, bounds: Bounds
+                     ) -> tuple[int, Iterator[tuple], Callable, Callable]:
+    """For the oracles below, once the field and the cap allow a complete
+    enumeration of M_n(F_q): its size, its matrices in scan order, their
+    key and their boxing.
+
+    A matrix is its flat row-major tuple of indices into list(spec.values()),
+    and itertools.product(range(q), repeat=n*n) lists them, so the scan
+    order is the documented one on values.  Index 0 is zero, so the first
+    point is the zero matrix.  For n >= 2 the key is _table_matrix_image on
+    q x q tables, whose q^2 entries are at most the q^(n^2) points; for n = 1,
+    where q may reach the cap, M_1(F_q) = F_q is keyed by _scalar_image.
+    box turns an index tuple back into a Matrix of values.
+    """
     spec = spec or f.spec
     if spec != f.spec:
         raise SpecMismatchError("oracle field must match the coefficient field")
     if not spec.is_finite:
         raise SpecMismatchError("brute force enumerates finite fields")
     _check_dimension(n)
-    total = spec.order ** (n * n)
-    if total > bounds.matrix_cap:
-        raise EnumerationCapExceededError(
-            f"q^(n^2) = {total} matrices exceed the cap {bounds.matrix_cap}")
-    return total, itertools.product(list(spec.values()), repeat=n * n)
+    q = spec.order
+    total = _scan_size(q, n * n, bounds.matrix_cap, "matrices")
+    values = list(spec.values())
+    if n > 1:
+        image = _table_matrix_image(f, n, values)
+    else:
+        scalar = _scalar_image(f)
+
+        def image(a: tuple):
+            return scalar(values[a[0]])
+
+    def box(a: tuple) -> Matrix:
+        return Matrix._from_values(spec, n, [values[i] for i in a])
+    return total, itertools.product(range(q), repeat=n * n), image, box
 
 
 def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
                        bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     """Exhaustive matrix oracle over a finite field: scan all of M_n(F_q)."""
-    total, matrices = _oracle_matrices(f, n, spec, bounds)
-    w = _first_collision(f, matrices, _matrix_image(f, n),
-                         functools.partial(Matrix._from_values, f.spec, n))
-    return _exhaustive_verdict(w, total)
+    total, matrices, image, box = _oracle_matrices(f, n, spec, bounds)
+    return _exhaustive_verdict(_first_collision(f, matrices, image, box), total)
 
 
 def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
@@ -1002,9 +1081,7 @@ def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,
     Empty exactly when no nonzero matrix collides with 0; confirms the
     n < d conclusion on small instances.
     """
-    _, matrices = _oracle_matrices(f, n, spec, bounds)
-    image = _matrix_image(f, n)
-    zero = (f.spec.zero().value,) * (n * n)
+    _, matrices, image, box = _oracle_matrices(f, n, spec, bounds)
+    zero = next(matrices)
     target = image(zero)
-    return [Matrix._from_values(f.spec, n, a) for a in matrices
-            if a != zero and image(a) == target]
+    return [box(a) for a in matrices if image(a) == target]

@@ -316,7 +316,8 @@ class FieldSpec:
 
     def values(self) -> Iterator:
         """Yield every canonical value once, in the canonical enumeration
-        order: by index, as element_from_index numbers them."""
+        order: by index, as element_from_index numbers them; index 0 is
+        zero."""
         raise InfiniteFieldError(f"cannot enumerate the elements of {self}")
 
     def elements(self) -> Iterator["FieldElement"]:

@@ -250,9 +250,10 @@ def rational_points(spec, height):
 
 
 def grid_matrices(spec, n, entries):
-    """n x n matrices over the entry list, row-major, last entry fastest."""
-    return [Matrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
-            for flat in itertools.product(entries, repeat=n * n)]
+    """n x n matrices over the entry list, row-major, last entry fastest;
+    lazily, so a scan that stops early builds only what it reads."""
+    return (Matrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
+            for flat in itertools.product(entries, repeat=n * n))
 
 
 def zero_fiber(f, n):

@@ -113,6 +113,30 @@ def test_cli_matrix_search_refuses_before_sieving_a_huge_height(capsys):
     assert "exceed the cap" in capsys.readouterr().err
 
 
+HUGE_SCANS = [
+    ["bruteforce", "--poly", "x", "--field", "F2", "--n", "200"],
+    ["search", "--poly", "x", "--field", "Q", "--n", "100", "--height", "2"],
+    ["analyze", "--poly", "x1+x2", "--vars", "20000", "--field", "F3"],
+    ["analyze", "--poly", "x1+x2", "--vars", "20000", "--field", "Q"],
+    ["bruteforce", "--poly", "x", "--field", "F2", "--n", "1000000"],
+    ["search", "--poly", "x", "--field", "Q", "--n", "1000000", "--height", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_SCANS, ids=" ".join)
+def test_cli_refuses_a_scan_of_a_huge_power_promptly(capsys, argv):
+    # the cap is compared before the power is built, and the message names
+    # a power past 4,096 bits as base^exponent instead of printing it
+    result = {}
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "the cap check did not refuse within 2 s"
+    assert result["code"] == 64
+    err = capsys.readouterr().err
+    assert "exceed the cap" in err and "^" in err and "Traceback" not in err
+
+
 NESTED_TOO_DEEPLY = [
     ["analyze", "--field", "Q", "--poly", "(" * 200 + "x" + ")" * 200],
     ["analyze", "--field", "Q", "--poly=" + "-" * 2000 + "x"],

@@ -24,7 +24,7 @@ from evainject import (
     search_tuple_collisions,
     verify_witness,
 )
-from evainject.engine import _grid_size
+from evainject.engine import _grid_size, _scan_size
 from evainject.errors import ArityMismatchError, EnumerationCapExceededError
 
 F2 = PrimeField(2)
@@ -136,6 +136,19 @@ def test_matrix_search_refuses_over_cap_before_building_its_grid():
     result = _within(1, lambda: search_matrix_collisions(U(QQ, [0, 0, 1]), 2, 120))
     assert isinstance(result.get("error"), EnumerationCapExceededError)
     assert f"{_grid_size(120) ** 4} candidate matrices" in str(result["error"])
+
+
+def test_scan_size_names_a_huge_power_without_building_it():
+    assert _scan_size(3, 5, 243, "points") == 243
+    with pytest.raises(EnumerationCapExceededError, match="^243 points exceed the cap 242$"):
+        _scan_size(3, 5, 242, "points")
+    # printed in full up to 4,096 bits, as base^exponent past that
+    with pytest.raises(EnumerationCapExceededError, match=f"^{2 ** 4095} points"):
+        _scan_size(2, 4095, 10**6, "points")
+    with pytest.raises(EnumerationCapExceededError, match=r"^2\^4096 points"):
+        _scan_size(2, 4096, 10**6, "points")
+    result = _within(1, lambda: _scan_size(2, 10**12, 10**6, "matrices", "; lower n"))
+    assert str(result["error"]) == "2^1000000000000 matrices exceed the cap 1000000; lower n"
 
 
 def test_grid_size_rule():

@@ -133,6 +133,11 @@ CASES = [
     ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "0"],
     ["search", "--poly", "x^2", "--field", "Q", "--n", "0", "--height", "2"],
     ["bruteforce", "--poly", "x^2", "--field", "F3", "--n", "-1"],
+    # scans of a power past the cap's bits: refused before it is built, exit 64
+    ["bruteforce", "--poly", "x", "--field", "F2", "--n", "200"],
+    ["search", "--poly", "x", "--field", "Q", "--n", "100", "--height", "2"],
+    ["analyze", "--poly", "x1+x2", "--vars", "20000", "--field", "F3"],
+    ["analyze", "--poly", "x1+x2", "--vars", "20000", "--field", "Q"],
     # input nested deeper than the parsers follow: exit 64, no traceback
     ["analyze", "--field", "Q", "--poly", "(" * 200 + "x" + ")" * 200],
     ["analyze", "--field", "Q", "--poly=" + "-" * 2000 + "x"],

@@ -7,6 +7,7 @@ over a plain enumeration of that caller's points, not just some collision.
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from evainject import (
     QQ,
     Bounds,
     ExtensionField,
+    Matrix,
     MultiPoly,
     PrimeField,
     Status,
@@ -39,7 +41,9 @@ from evainject.engine import permutation_verdict
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 F4, F8, F9 = (ExtensionField.from_order(q) for q in (4, 8, 9))
+F8_ALT = ExtensionField(2, [1, 0, 1, 1])  # x^3 + x^2 + 1, not the built-in modulus
 U = UniPoly.from_ints
+H = Fraction
 
 
 def _pair(w):
@@ -71,6 +75,20 @@ def test_matrix_search_matches_plain_grid_scan():
         f = U(QQ, coeffs)
         expected = first_collision(f, grid_matrices(QQ, 2, entries))
         assert _pair(search_matrix_collisions(f, 2, 1)) == expected
+
+
+def test_matrix_search_with_rational_entries_matches_plain_grid_scan():
+    # heights 2 and 3 put fractions in the entries; the oracle compares every
+    # pair, so each n = 2 case collides within the first thousand matrices
+    cases = [([0, H(-3, 2), 1], 1, 2), ([0, H(-2, 3), 0, H(1, 2)], 1, 3),
+             ([H(1, 3), 0, 0, H(1, 2)], 1, 3), ([H(5, 7)], 1, 2),
+             ([0, H(-3, 2), 1], 2, 2), ([0, 0, H(1, 2)], 2, 2), ([0, 2, 0, 0, 1], 2, 2),
+             ([0, -1, 0, H(1, 4)], 2, 2), ([H(5, 7)], 2, 3), ([0, -1, 0, H(1, 4)], 2, 3),
+             ([0, H(-3, 2), 1], 2, 3)]
+    for coeffs, n, height in cases:
+        f = U(QQ, coeffs)
+        expected = first_collision(f, grid_matrices(QQ, n, rational_points(QQ, height)))
+        assert _pair(search_matrix_collisions(f, n, height)) == expected
 
 
 def test_tuple_search_matches_plain_grid_scan():
@@ -145,6 +163,38 @@ def test_zero_fiber_matches_plain_matrix_scan():
              (U(F4, [0, 1, 1, 0, 1]), 2), (U(F5, [0, 1, 0, 1]), 2), (U(F5, [0, 4, 0, 1]), 2)]
     for f, n in cases:
         assert brute_force_zero_fiber(f, n) == zero_fiber(f, n)
+
+
+def test_brute_force_matrix_over_f8_and_f9_matches_plain_matrix_scan():
+    # both collide within the first few hundred matrices; the oracle compares every pair
+    cases = [(U(F8_ALT, [0, 0, 1]), 2), (U(F8_ALT, [1, 0, 1, 1]), 2),
+             (U(F9, [0, 0, 1]), 2), (U(F9, [2, 1, 1, 1]), 2)]
+    for f, n in cases:
+        expected = first_collision(f, grid_matrices(f.spec, n, field_elements(f.spec)))
+        assert expected is not None
+        assert _verdict_pair(brute_force_matrix(f, n)) == expected
+
+
+def test_zero_fiber_over_f8_and_f9_matches_plain_matrix_scan():
+    cases = [(U(F8_ALT, [0, 1, 1, 1]), 2), (U(F9, [0, 1, 0, 1]), 2)]
+    for f, n in cases:
+        assert brute_force_zero_fiber(f, n) == zero_fiber(f, n)
+
+
+def test_one_by_one_matrix_scans_match_the_scalar_scans():
+    # M_1(F) = F: the matrix scans report the scalar scans' pair as 1 x 1 matrices
+    def one_by_one(pair):
+        return None if pair is None else tuple(Matrix(x.spec, [[x]]) for x in pair)
+
+    for spec in (F2, F5, F4, F8_ALT, F9):
+        for f in _random_polys(spec, 5, 3, seed=20 + spec.order):
+            assert (_verdict_pair(brute_force_matrix(f, 1))
+                    == one_by_one(_verdict_pair(brute_force_scalar(f))))
+            assert brute_force_zero_fiber(f, 1) == zero_fiber(f, 1)
+    for coeffs, height in (([0, H(-3, 2), 1], 3), ([0, H(1, 2), 0, 1], 2), ([H(5, 7)], 2)):
+        f = U(QQ, coeffs)
+        assert (_pair(search_matrix_collisions(f, 1, height))
+                == one_by_one(_pair(search_rational_collisions(f, height))))
 
 
 def _report(capsys, argv):
