@@ -706,8 +706,8 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
 
     A root b of f' in F violates the condition with t = f(b), since b then
     has multiplicity at least 2 in f - f(b).  Finite fields are scanned;
-    over Q the rational root test runs on f'.  When f' vanishes
-    identically (characteristic p), the condition fails degenerately.
+    over Q, b is the least rational root of f' (rational_roots, p-adic).
+    When f' vanishes identically (char p), the condition fails degenerately.
     """
     spec = spec or f.spec
     if spec.is_symbolic:

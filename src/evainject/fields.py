@@ -69,31 +69,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _iroot(n: int, k: int) -> int:
-    """Largest r >= 0 with r**k <= n, by integer Newton steps from above."""
-    if n < 2:
-        return n
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
 def prime_power(q: int) -> tuple[int, int] | None:
     """(p, k) with q = p^k and p prime, or None when q is no prime power.
 
-    Exponents are tried from the largest down, so the first exact k-th root
-    is the smallest base q has; q is a prime power iff that base is prime.
-    That is O(log q) root extractions and one is_prime call, which raises
-    InvalidFieldError for a base at or above its 2^31 cap.
+    Only exponents k with log2(q)/k < 31 can give a base below the 2^31
+    cap, and for those the rounded float root is exact when q is a k-th
+    power (a float filter on k*log2(r), then r**k == q).  Exponents run from
+    the largest down, so the first hit is the least base of q; with none,
+    is_prime(q) decides, and raises InvalidFieldError at or above the cap.
     """
-    for k in range(max(q.bit_length() - 1, 1), 0, -1):
-        p = _iroot(q, k)
-        if p ** k == q:
-            return (p, k) if is_prime(p) else None
-    return None
+    if q < 2:
+        return None
+    bits = math.log2(q)
+    for k in range(q.bit_length() - 1, 1, -1):
+        if bits / k >= 31:
+            break
+        r = round(2 ** (bits / k))
+        if abs(k * math.log2(r) - bits) < 1e-9 * bits and r ** k == q:
+            return (r, k) if is_prime(r) else None
+    return (q, 1) if is_prime(q) else None
 
 
 # ---------------------------------------------------------------------------

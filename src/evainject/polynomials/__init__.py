@@ -1,11 +1,12 @@
 """Exact univariate and multivariate polynomial algebra.
 
 core   : UniPoly / MultiPoly arithmetic, gcd and Bezout certificates,
-         zero multiplicity, rational root extraction; UniPoly products,
-         division and gcds run on the F[x] kernel of fields.py
+         zero multiplicity; UniPoly products, division and gcds run on the
+         F[x] kernel of fields.py
 factor : complete factorization over finite fields (on the same kernel)
-         and over Q, and the (c, m, h, d) decomposition profile driving
-         the matrix engine
+         and over Q, rational roots by the same modular path (the roots
+         mod a good prime, lifted p-adically), and the (c, m, h, d)
+         decomposition profile driving the matrix engine
 sturm  : exact real root counting and strict monotonicity on the real line
 """
 
@@ -14,7 +15,6 @@ from .core import (
     UniPoly,
     extended_gcd,
     gcd_poly,
-    rational_roots,
     zero_multiplicity,
 )
 from .factor import (
@@ -22,6 +22,7 @@ from .factor import (
     factor_finite,
     factor_profile,
     factor_rationals,
+    rational_roots,
     squarefree_decomposition,
 )
 from .sturm import is_strictly_monotone, sturm_real_roots

@@ -13,9 +13,7 @@ exact.
 """
 from __future__ import annotations
 
-import math
 import operator
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import (
@@ -28,7 +26,6 @@ from ..errors import (
 from ..fields import (
     FieldElement,
     FieldSpec,
-    Rationals,
     _join_terms,
     _poly_add,
     _poly_derivative,
@@ -277,48 +274,6 @@ def zero_multiplicity(f: UniPoly) -> tuple[int, UniPoly]:
     while f.values[m] == zero:
         m += 1
     return m, UniPoly._from_values(f.spec, f.values[m:])
-
-
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def rational_roots(f: UniPoly) -> list[Fraction]:
-    """All rational roots of f over Q, by the divisor test on num/den.
-
-    Clears denominators first; candidates are +-p/q with p dividing the
-    constant term and q dividing the leading coefficient.
-    """
-    if not isinstance(f.spec, Rationals):
-        raise SpecMismatchError("rational root extraction needs a polynomial over Q")
-    if f.is_zero():
-        raise ZeroPolynomialError("every rational is a root of 0")
-    roots: list[Fraction] = []
-    m, h = zero_multiplicity(f)
-    if m > 0:
-        roots.append(Fraction(0))
-    if h.degree < 1:
-        return roots
-    den_lcm = math.lcm(*(c.denominator for c in h.values))
-    ints = [int(c * den_lcm) for c in h.values]
-    a0, an = ints[0], ints[-1]
-    for p in _int_divisors(a0):
-        for q in _int_divisors(an):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if h.eval(cand).is_zero() and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
 
 
 def root_multiplicity(f: UniPoly, b: FieldElement) -> int:

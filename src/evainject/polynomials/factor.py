@@ -19,7 +19,8 @@ then for each squarefree part the classical lift-and-recombine method:
 factor modulo a good prime with the finite-field path, Hensel-lift the
 factors to a power of that prime exceeding twice the coefficient bound, and
 search factor subsets with trial division in Z[x].  Degree is capped at 16
-and coefficients at 256 bits; the inputs this package cares about are tiny.
+and coefficients at 256 bits.  rational_roots lifts only the roots mod p,
+each by Newton's step, so it needs no recombination, no Yun and no cap.
 
 factor_profile decomposes f as c + x^m * h with h(0) != 0, factors h, and
 records d, the least degree among the irreducible factors of h, plus the
@@ -378,21 +379,22 @@ def _hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list
 
 
 # ---------------------------------------------------------------------------
-# Zassenhaus on a primitive squarefree integer polynomial
+# Zassenhaus on a primitive squarefree integer polynomial, and its linear
+# case without recombination: rational roots
 # ---------------------------------------------------------------------------
 
-def _good_prime(s: list[int]) -> int:
+def _good_prime(s: list[int], limit: int) -> int | None:
+    """The least odd prime p < limit with lc(s) a unit mod p and s squarefree
+    mod p, or None.  For a squarefree s, only divisors of lc(s)*disc(s) fail."""
     lc = s[-1]
-    p = 3
-    while p < 100_000:
+    for p in range(3, limit, 2):
         if is_prime(p) and lc % p != 0:
             spec = PrimeField(p)
             smod = [c % p for c in s]   # lc(s) is a unit mod p: no trimming
             dmod = _poly_derivative(spec, smod)
             if dmod and len(_poly_gcd(spec, smod, dmod)) == 1:
                 return p
-        p += 2
-    raise InternalInvariantError("no usable prime below 100000")
+    return None
 
 
 def _zassenhaus(s: list[int]) -> list[list[int]]:
@@ -400,7 +402,9 @@ def _zassenhaus(s: list[int]) -> list[list[int]]:
     n = _zx_deg(s)
     if n == 1:
         return [s]
-    p = _good_prime(s)
+    p = _good_prime(s, 100_000)
+    if p is None:
+        raise InternalInvariantError("no usable prime below 100000")
     lc = s[-1]
     a_norm = max(abs(c) for c in s)
     bound = (math.isqrt(n + 1) + 1) * (1 << n) * a_norm * abs(lc)
@@ -467,6 +471,50 @@ def factor_rationals(f: UniPoly):
             monic = _zx_to_monic(g)
             collected[monic] = collected.get(monic, 0) + mult
     return f.leading, _sorted_factors(collected)
+
+
+def rational_roots(f: UniPoly) -> list[Fraction]:
+    """The distinct rational roots of f over Q, sorted; no degree cap.
+
+    Loos's p-adic method, 1983: with s the primitive part of f / x^m, each
+    root of s mod a good prime p is simple, so Newton's step lifts it mod
+    p^k > 2|s(0) lc(s)|.  A root u/v in lowest terms has u | s(0) and
+    v | lc(s), so lc(s) times its lift is (lc(s)/v) u in symmetric range;
+    it is kept if v x - u divides s.  Only when no prime below 50 is good
+    does s become its squarefree part.
+    """
+    if not isinstance(f.spec, Rationals):
+        raise SpecMismatchError("rational root extraction needs a polynomial over Q")
+    m, h = zero_multiplicity(f)
+    roots = [Fraction(0)] if m else []
+    if h.degree < 1:
+        return roots
+    s = _zx_from_rationals(h)
+    p = _good_prime(s, 50)
+    if p is None:
+        s = _zx_try_div(s, _zx_gcd(s, _zx_derivative(s)))
+        p = _good_prime(s, 100_000)
+        if p is None:
+            raise InternalInvariantError("no usable prime below 100000")
+    spec = PrimeField(p)
+    smod = _poly_monic(spec, [c % p for c in s])
+    g = _poly_gcd(spec, smod, _poly_add(spec, _poly_powmod(spec, [0, 1], p, smod), [0, p - 1]))
+    if len(g) == 1:
+        return roots
+    lc = s[-1]
+    for u in _fq_equal_degree(spec, g, 1, Random(_SPLIT_SEED)):
+        r, pk = -u[0], p
+        while pk <= 2 * abs(s[0] * lc):
+            pk *= pk    # Newton's step, with s(r) and s'(r) by one Horner pass
+            v = dv = 0
+            for c in reversed(s):
+                v, dv = (v * r + c) % pk, (dv * r + v) % pk
+            r = (r - v * pow(dv, -1, pk)) % pk
+        num = lc * r % pk
+        root = Fraction(num - pk if 2 * num > pk else num, lc)
+        if _zx_try_div(s, [-root.numerator, root.denominator]) is not None:
+            roots.append(root)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ fields._poly_*, matrices._product, UniPoly.eval, UniPoly.compose_shift and
 MultiPoly.eval).  Each read of coeffs or entries boxes the whole container,
 so the oracles read each container once per call.  elements_built counts
 the FieldElements a call builds, for the tests that keep work on values.
+Rational roots come from the divisor test and prime powers from exact
+integer k-th roots (the library lifts roots modulo a prime and takes
+rounded float roots).
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import math
 from fractions import Fraction
 
 from evainject import FieldElement, Matrix, UniPoly
+from evainject.fields import is_prime
 
 
 def all_polys(spec, max_degree):
@@ -278,3 +282,54 @@ def elements_built(monkeypatch, call):
     result = call()
     monkeypatch.undo()
     return result, len(built)
+
+
+def _divisors(n: int) -> set[int]:
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return set(small + [n // d for d in small])
+
+
+def divisor_rational_roots(f) -> list[Fraction]:
+    """The distinct rational roots of f over Q by the divisor test: with
+    denominators cleared and x^m divided out, a root u/v in lowest terms has
+    u | a0 and v | an, so every coprime +-u/v is tried by integer Horner on
+    the homogenized sum of c_i u^i v^(n-i)."""
+    values = [c.value for c in f.coeffs]
+    m = next(i for i, c in enumerate(values) if c)
+    h = values[m:]
+    den = math.lcm(*(c.denominator for c in h))
+    ints = [int(c * den) for c in h]
+    roots = [Fraction(0)] if m else []
+    for u in _divisors(ints[0]):
+        for v in _divisors(ints[-1]):
+            for w in (u, -u):
+                acc, scale = 0, 1
+                for c in reversed(ints):
+                    acc, scale = acc * w + c * scale, scale * v
+                if acc == 0 and math.gcd(u, v) == 1:
+                    roots.append(Fraction(w, v))
+    return sorted(roots)
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r >= 0 with r**k <= n, by integer Newton steps from above."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def iroot_prime_power(q: int):
+    """(p, k) with q = p^k and p prime, or None, by an exact integer k-th
+    root for every exponent from the largest down: the first exact root is
+    the least base, and is_prime raises for a base at or above its cap."""
+    for k in range(max(q.bit_length() - 1, 1), 0, -1):
+        p = _iroot(q, k)
+        if p ** k == q:
+            return (p, k) if is_prime(p) else None
+    return None

@@ -31,6 +31,18 @@ def _run_json(capsys, argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
+def _main_within(capsys, argv, failure):
+    """Run main(argv) on a daemon thread and join it for 2 s; fail with
+    `failure` if it is still running, else return (code, stdout, stderr)."""
+    result = {}
+    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), failure
+    out = capsys.readouterr()
+    return result["code"], out.out, out.err
+
+
 def test_parse_poly_examples():
     f = parse_poly("x^4+2*x+7", QQ)
     assert f == UniPoly.from_ints(QQ, [7, 2, 0, 0, 1])
@@ -77,40 +89,60 @@ def test_parse_field_grammar():
 def test_cli_rejects_huge_field_order_promptly(capsys):
     # 2^61 - 1 is prime but far above the 2^31 characteristic cap; the
     # order must be rejected without trial division up to its square root.
-    result = {}
     argv = ["analyze", "--poly", "x", "--field", "F2305843009213693951"]
-    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=2)
-    assert not worker.is_alive(), "parse_field did not answer within 2 s"
-    assert result["code"] == 64
-    assert "exceeds the 2^31 cap" in capsys.readouterr().err
+    code, _, err = _main_within(capsys, argv, "parse_field did not answer within 2 s")
+    assert code == 64
+    assert "exceeds the 2^31 cap" in err
+
+
+def test_cli_rejects_a_4000_digit_field_order_promptly(capsys):
+    # only exponents k with log2(q)/k < 31 can give a base under the cap,
+    # so prime_power takes no big-integer k-th roots before refusing
+    argv = ["analyze", "--poly", "x", "--field", "F" + "9" * 4000]
+    code, _, err = _main_within(capsys, argv, "prime_power did not answer within 2 s")
+    assert code == 64
+    assert "exceeds the 2^31 cap" in err
+
+
+# Rational roots come from p-adic lifting, not from divisors of a0 and an,
+# so a constant term near 10^24 no longer hangs the Q and ACF decisions.
+HUGE_ROOT_TERMS = [
+    (["analyze", "--poly", "x^3+1000000000000000000000000*x", "--field", "Q"],
+     2, "Undecided", "SearchExhausted"),
+    (["analyze", "--poly", "x^3+1000000000000000000000000*x", "--field", "ACF"],
+     2, "NecessaryConditionFails", "RootsOutsideComputableField"),
+    (["analyze", "--poly", "x^2+1000000000000000000000001", "--field", "ACF"],
+     1, "NotInjective", "RepeatedRootWitness"),
+    (["simpleroots", "--poly", "x^3-300000000000000*x", "--field", "Q"],
+     2, "NecessaryConditionFails", "SimpleRootsFail"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,status,reason", HUGE_ROOT_TERMS,
+                         ids=[" ".join(case[0]) for case in HUGE_ROOT_TERMS])
+def test_cli_answers_huge_constant_terms_promptly(capsys, argv, exit_code, status, reason):
+    code, out, _ = _main_within(capsys, argv + ["--output", "json"],
+                                "the rational roots did not come within 2 s")
+    verdict = json.loads(out)["verdict"]
+    assert (code, verdict["status"], verdict["reason"]) == (exit_code, status, reason)
 
 
 def test_cli_matrix_search_refuses_a_huge_height_promptly(capsys):
     # the height-100000 grid size comes from a totient sieve, not from
     # counting gcds up to the height squared, so the cap refuses at once
-    result = {}
     argv = ["search", "--poly", "x^2", "--field", "Q", "--n", "2", "--height", "100000"]
-    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=2)
-    assert not worker.is_alive(), "the search did not refuse within 2 s"
-    assert result["code"] == 64
-    assert "exceed the cap" in capsys.readouterr().err
+    code, _, err = _main_within(capsys, argv, "the search did not refuse within 2 s")
+    assert code == 64
+    assert "exceed the cap" in err
 
 
 def test_cli_matrix_search_refuses_before_sieving_a_huge_height(capsys):
     # the grid has at least 2h^2 + 1 points, so a height whose bound already
     # exceeds the cap is refused before the totient sieve lists h + 1 ints
-    result = {}
     argv = ["search", "--poly", "x^2", "--field", "Q", "--n", "2", "--height", "3000000"]
-    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=2)
-    assert not worker.is_alive(), "the search did not refuse within 2 s"
-    assert result["code"] == 64
-    assert "exceed the cap" in capsys.readouterr().err
+    code, _, err = _main_within(capsys, argv, "the search did not refuse within 2 s")
+    assert code == 64
+    assert "exceed the cap" in err
 
 
 HUGE_SCANS = [
@@ -127,13 +159,8 @@ HUGE_SCANS = [
 def test_cli_refuses_a_scan_of_a_huge_power_promptly(capsys, argv):
     # the cap is compared before the power is built, and the message names
     # a power past 4,096 bits as base^exponent instead of printing it
-    result = {}
-    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=2)
-    assert not worker.is_alive(), "the cap check did not refuse within 2 s"
-    assert result["code"] == 64
-    err = capsys.readouterr().err
+    code, _, err = _main_within(capsys, argv, "the cap check did not refuse within 2 s")
+    assert code == 64
     assert "exceed the cap" in err and "^" in err and "Traceback" not in err
 
 
@@ -160,29 +187,21 @@ def test_parser_follows_moderate_nesting():
 def test_cli_pigeonhole_answers_a_huge_exponent_promptly(capsys):
     # exponents fold below q before the F_q^m scan, so x1^(10^8) costs
     # no more than x1^k for some k < 7
-    result = {}
     argv = ["analyze", "--poly", "x1^100000000+x2", "--vars", "2", "--field", "F7",
             "--output", "json"]
-    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=2)
-    assert not worker.is_alive(), "the pigeonhole scan did not answer within 2 s"
-    assert result["code"] == 1
-    witness = json.loads(capsys.readouterr().out)["verdict"]["witness"]
+    code, out, _ = _main_within(capsys, argv, "the pigeonhole scan did not answer within 2 s")
+    assert code == 1
+    witness = json.loads(out)["verdict"]["witness"]
     assert (witness["lhs"], witness["rhs"]) == (["0", "1"], ["1", "0"])
 
 
 def test_cli_refuses_a_huge_univariate_degree_promptly(capsys):
     # x^(10^8) is one sparse term while parsing, but a UniPoly is dense:
     # the degree cap refuses it before the coefficient list is built
-    result = {}
     argv = ["analyze", "--poly", "x^100000000", "--field", "F7"]
-    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=2)
-    assert not worker.is_alive(), "the parser did not refuse within 2 s"
-    assert result["code"] == 64
-    assert "exceeds the univariate cap" in capsys.readouterr().err
+    code, _, err = _main_within(capsys, argv, "the parser did not refuse within 2 s")
+    assert code == 64
+    assert "exceeds the univariate cap" in err
 
 
 def test_univariate_degree_cap_covers_every_polynomial_entry_point():
@@ -198,15 +217,11 @@ def test_univariate_degree_cap_covers_every_polynomial_entry_point():
 def test_cli_rational_search_stops_at_first_collision_promptly(capsys):
     # The height-2000 grid has billions of points; x^2 collides at (-1, 1)
     # within its first 2,002, so the scan must not build the grid first.
-    result = {}
     argv = ["search", "--poly", "x^2", "--field", "Q", "--height", "2000",
             "--output", "json"]
-    worker = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=2)
-    assert not worker.is_alive(), "the search did not answer within 2 s"
-    assert result["code"] == 1
-    witness = json.loads(capsys.readouterr().out)["verdict"]["witness"]
+    code, out, _ = _main_within(capsys, argv, "the search did not answer within 2 s")
+    assert code == 1
+    witness = json.loads(out)["verdict"]["witness"]
     assert (witness["lhs"], witness["rhs"], witness["image"]) == ("-1", "1", "1")
 
 

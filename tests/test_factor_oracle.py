@@ -7,7 +7,13 @@ multiplicities above one and characteristic-p derivatives that vanish both
 occur.  Over F4, F8 and F9, where sympy has no counterpart, the factors
 must rebuild the input, and those of degree 2 or 3 must have no root in the
 field (so they are irreducible).  factor_profile is pinned on a fixed list.
+rational_roots is compared with sympy's roots over QQ on seeded
+polynomials up to degree about 40 with repeated roots, roots near 10^20 and
+denominators, and with the divisor test of tests/oracles.py on small
+coefficients; its squarefree fallback and a degree-200 input are pinned.
 """
+import random
+import time
 from fractions import Fraction
 
 import sympy
@@ -22,8 +28,11 @@ from evainject import (
     factor_finite,
     factor_profile,
     factor_rationals,
+    rational_roots,
 )
 from evainject.cli import parse_field, parse_poly
+from evainject.polynomials.factor import _good_prime, _zx_from_rationals
+from oracles import divisor_rational_roots
 
 BOUNDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 X = sympy.Symbol("x")
@@ -156,3 +165,60 @@ def test_factor_profile_fixed_expectations():
         got = (str(p.c), p.m_mult, str(p.h), str(p.unit), p.d, str(p.chosen_q),
                [(str(q), e) for q, e in p.factors])
         assert got == expected, (field, text)
+
+
+def _with_roots(cofactor, roots):
+    """cofactor times (v x - u)^e for each (u, v, e) in roots."""
+    f = UniPoly.from_ints(QQ, cofactor)
+    for u, v, e in roots:
+        f = f * UniPoly.from_ints(QQ, [-u, v]) ** e
+    return f
+
+
+def test_rational_roots_match_sympy():
+    rng = random.Random(19)
+    for _ in range(25):
+        cofactor = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 30))] + [rng.randint(1, 9)]
+        roots = [(rng.choice([rng.randint(-50, 50), rng.randint(-10 ** 20, 10 ** 20)]),
+                  rng.randint(1, 7), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+        f = _with_roots(cofactor, roots) * UniPoly.x(QQ) ** rng.randint(0, 2)
+        if f.degree >= 1:
+            dense = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.values)]
+            expected = sympy.Poly(dense, X, domain="QQ").ground_roots()
+            assert rational_roots(f) == sorted(Fraction(int(r.p), int(r.q)) for r in expected)
+
+
+def test_rational_roots_match_the_divisor_test():
+    rng = random.Random(23)
+    for _ in range(1000):
+        cofactor = [Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+                    for _ in range(rng.randint(0, 3))] + [rng.randint(1, 4)]
+        roots = [(rng.randint(-6, 6), rng.randint(1, 3), rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 2))]
+        f = _with_roots(cofactor, roots)
+        if f.degree >= 1:
+            assert rational_roots(f) == divisor_rational_roots(f), f
+
+
+def test_rational_roots_squarefree_fallback():
+    # s is squarefree modulo no prime, so no prime below 50 is good and the
+    # roots come from s / gcd(s, s')
+    f = parse_poly("(x-1)^2*(3*x+2)^3*(x^2+5)", QQ)
+    assert _good_prime(_zx_from_rationals(f), 50) is None
+    assert rational_roots(f) == [Fraction(-2, 3), Fraction(1)]
+    # squarefree, but lc(s) is divisible by every odd prime below 50
+    lc = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
+    g = UniPoly.from_ints(QQ, [1, lc]) * UniPoly.from_ints(QQ, [-7, 2])
+    assert _good_prime(_zx_from_rationals(g), 50) is None
+    assert rational_roots(g) == [Fraction(-1, lc), Fraction(7, 2)]
+
+
+def test_rational_roots_of_degree_200_are_prompt():
+    rng = random.Random(29)
+    f = _with_roots([rng.randint(-5, 5) for _ in range(197)] + [1],
+                    [(3, 1, 1), (-10 ** 20, 3, 1), (5, 7, 1)])
+    start = time.perf_counter()
+    roots = rational_roots(f)
+    assert time.perf_counter() - start < 1.0
+    assert roots == [Fraction(-10 ** 20, 3), Fraction(5, 7), Fraction(3)]

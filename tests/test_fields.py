@@ -24,7 +24,8 @@ from evainject.errors import (
     SpecMismatchError,
     SymbolicFieldError,
 )
-from evainject.fields import BUILTIN_MODULI, _poly_add, _poly_mul, _poly_trim
+from evainject.fields import BUILTIN_MODULI, _poly_add, _poly_mul, _poly_trim, prime_power
+from oracles import iroot_prime_power
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -281,3 +282,30 @@ def test_values_follow_the_index_order():
         assert list(spec.elements()) == [FieldElement(spec, v) for v in spec.values()]
     with pytest.raises(InfiniteFieldError):
         QQ.values()
+
+
+def _power_or_cap(fn, q):
+    try:
+        return fn(q)
+    except InvalidFieldError:
+        return "cap"
+
+
+def test_prime_power_matches_the_integer_root_reference():
+    # every q below 20,000, then powers of small and of near-cap bases
+    # (2^31 - 19 and 2^31 - 1 are prime, 2^31 + 11 is the first prime past
+    # the cap) with their neighbours, and random sizes up to 40 digits
+    rng = random.Random(31)
+    values = set(range(20_000))
+    for base in list(range(2, 41)) + [46337, 65521, 2147483629, 2147483647, 2147483659]:
+        for k in range(1, 6 if base > 40 else 200):
+            if base ** k > 10 ** 40:
+                break
+            values.update((base ** k - 1, base ** k, base ** k + 1))
+    values.update(rng.getrandbits(rng.randint(1, 130)) for _ in range(100))
+    assert len(values) > 20_000
+    for q in sorted(values):
+        assert _power_or_cap(prime_power, q) == _power_or_cap(iroot_prime_power, q), q
+    assert prime_power(2147483629 ** 400) == (2147483629, 400)
+    with pytest.raises(InvalidFieldError, match="exceeds the 2\\^31 cap"):
+        prime_power(int("9" * 4000))

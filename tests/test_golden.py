@@ -142,6 +142,11 @@ CASES = [
     ["analyze", "--field", "Q", "--poly", "(" * 200 + "x" + ")" * 200],
     ["analyze", "--field", "Q", "--poly=" + "-" * 2000 + "x"],
     ["verify", "--poly", "x", "--field", "Q", "--rhs", "1", "--lhs", "[" * 3000 + "]" * 3000],
+    # constant terms near 10^24: rational roots by p-adic lifting answer at once
+    ["analyze", "--poly", "x^3+1000000000000000000000000*x", "--field", "Q"],
+    ["analyze", "--poly", "x^3+1000000000000000000000000*x", "--field", "ACF"],
+    ["analyze", "--poly", "x^2+1000000000000000000000001", "--field", "ACF"],
+    ["simpleroots", "--poly", "x^3-300000000000000*x", "--field", "Q"],
 ]
 
 
