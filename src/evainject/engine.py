@@ -83,8 +83,8 @@ from .polynomials import (
     factor_profile,
     is_strictly_monotone,
     rational_roots,
+    zero_multiplicity,
 )
-from .polynomials.core import root_multiplicity
 
 __all__ = [
     "Bounds",
@@ -399,14 +399,27 @@ def _search_spec(f) -> Rationals:
     return f.spec
 
 
-def search_rational_collisions(f: UniPoly, height: int) -> Witness | None:
+def search_rational_collisions(f: UniPoly, height: int,
+                               cap: int = DEFAULT_BOUNDS.matrix_cap) -> Witness | None:
     """Scan the rational grid for two points with equal values under f.
 
-    Returns the first verified collision in grid order, or None.
+    Returns the first verified collision in grid order, or None.  The grid
+    is streamed, and at most its first cap points are scanned: with no
+    collision among them, a grid of more than cap points raises
+    EnumerationCapExceededError.  The grid has at least 2h^2 + 1 points,
+    so a height past that bound raises before its size is sieved.
     """
     _search_spec(f)
-    return _first_collision(f, _grid_pairs(height), _rational_image(f),
-                            lambda point: QQ.element(Fraction(*point)))
+    w = _first_collision(f, itertools.islice(_grid_pairs(height), cap), _rational_image(f),
+                         lambda point: QQ.element(Fraction(*point)))
+    if w is None:
+        least = 2 * height * height + 1
+        size = f"at least {least}" if least > cap else _grid_size(height)
+        if least > cap or size > cap:
+            raise EnumerationCapExceededError(
+                f"{size} grid points exceed the cap {cap}, and the first {cap} "
+                "hold no collision; lower the height")
+    return w
 
 
 def _scalar_image(f: UniPoly):
@@ -536,7 +549,7 @@ def search_verdict(f: UniPoly, n: int | None,
     """Bounded collision search on the rational grid, or on n x n matrices
     with grid entries when n is given."""
     if n is None:
-        w = search_rational_collisions(f, bounds.height)
+        w = search_rational_collisions(f, bounds.height, bounds.matrix_cap)
     else:
         w = search_matrix_collisions(f, n, bounds.height, bounds.matrix_cap)
     if w is not None:
@@ -708,6 +721,7 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     has multiplicity at least 2 in f - f(b).  Finite fields are scanned;
     over Q, b is the least rational root of f' (rational_roots, p-adic).
     When f' vanishes identically (char p), the condition fails degenerately.
+    The multiplicity of b in f - f(b) is the order at 0 of (f - f(b))(x + b).
     """
     spec = spec or f.spec
     if spec.is_symbolic:
@@ -728,7 +742,7 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     if b is None:
         return SimpleRootsReport(True)
     lam = f.eval(b)
-    k = root_multiplicity(f - UniPoly.constant(spec, lam), b)
+    k = zero_multiplicity((f - UniPoly.constant(spec, lam)).compose_shift(b))[0]
     return SimpleRootsReport(False, b, lam, k, char_p_degenerate=fp.is_zero())
 
 
@@ -782,7 +796,7 @@ def scalar_injectivity(f: UniPoly, spec: FieldSpec | None = None,
             return Verdict(Status.INJECTIVE, Reason.STRICTLY_MONOTONE,
                            "the derivative keeps one sign on the whole real "
                            "line and deg f is odd, so f is strictly monotone")
-        w = search_rational_collisions(f, bounds.height)
+        w = search_rational_collisions(f, bounds.height, bounds.matrix_cap)
         if w is not None:
             return Verdict(Status.NOT_INJECTIVE, Reason.NOT_MONOTONE,
                            "f is not strictly monotone; rational collision "
@@ -813,7 +827,7 @@ def scalar_injectivity(f: UniPoly, spec: FieldSpec | None = None,
                 return Verdict(Status.NOT_INJECTIVE, Reason.REPEATED_ROOT_WITNESS,
                                "f is a shifted even power, so points placed "
                                "symmetrically around the repeated root collide", w)
-        w = search_rational_collisions(f, bounds.height)
+        w = search_rational_collisions(f, bounds.height, bounds.matrix_cap)
         if w is not None:
             return Verdict(Status.NOT_INJECTIVE, Reason.SEARCH_COLLISION,
                            "degree >= 2 is never injective over an "
@@ -827,7 +841,7 @@ def scalar_injectivity(f: UniPoly, spec: FieldSpec | None = None,
             f"(search height {bounds.height})")
 
     # Q: no sufficient criterion for degree >= 2, so never Injective here.
-    w = search_rational_collisions(f, bounds.height)
+    w = search_rational_collisions(f, bounds.height, bounds.matrix_cap)
     if w is not None:
         return Verdict(Status.NOT_INJECTIVE, Reason.SEARCH_COLLISION,
                        f"collision found by rational search at height {bounds.height}", w)

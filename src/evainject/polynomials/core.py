@@ -276,20 +276,6 @@ def zero_multiplicity(f: UniPoly) -> tuple[int, UniPoly]:
     return m, UniPoly._from_values(f.spec, f.values[m:])
 
 
-def root_multiplicity(f: UniPoly, b: FieldElement) -> int:
-    """Multiplicity of b as a root of f (0 if not a root)."""
-    if f.is_zero():
-        raise ZeroPolynomialError("multiplicity in the zero polynomial")
-    linear = UniPoly(f.spec, [-b, f.spec.one()])
-    k = 0
-    while True:
-        q, r = divmod(f, linear)
-        if not r.is_zero():
-            return k
-        f = q
-        k += 1
-
-
 class MultiPoly(_Frozen):
     """Sparse polynomial in m >= 1 commuting variables."""
 

@@ -13,9 +13,10 @@ test), then equal-degree splitting (Cantor-Zassenhaus) seeded by a private
 constant.  The factor list is sorted into a canonical order, so the output
 does not depend on the random path at all.
 
-Rationals: Yun's squarefree decomposition on the primitive integer
-polynomial (the _zx_* functions, gcds by primitive remainder sequences),
-then for each squarefree part the classical lift-and-recombine method:
+Rationals: everything runs on primitive integer polynomials (the _zx_*
+functions): one long division, gcds by primitive remainder sequences on it,
+the squarefree part s / gcd(s, s') and Yun's decomposition, which sturm.py
+uses too.  Each of Yun's parts is factored by lift and recombine:
 factor modulo a good prime with the finite-field path, Hensel-lift the
 factors to a power of that prime exceeding twice the coefficient bound, and
 search factor subsets with trial division in Z[x].  Degree is capped at 16
@@ -258,20 +259,29 @@ def _zx_derivative(a: Sequence[int]) -> list[int]:
     return _poly_trim([i * a[i] for i in range(1, len(a))], 0)
 
 
+def _zx_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a/b for a b known to divide a in Z[x]; InternalInvariantError if not."""
+    quotient = _zx_try_div(a, b)
+    if quotient is None:
+        raise InternalInvariantError("inexact division in Z[x]")
+    return quotient
+
+
 def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive gcd with positive leading coefficient (primitive remainder
-    sequence: pseudo-division, then the primitive part of each remainder)."""
+    sequence: the primitive part of the remainder of lc(b)^(deg a - deg b + 1)
+    * a by b, a product _zx_divmod divides without fractions)."""
     a, b = _zx_primitive(a), _zx_primitive(b)
     while b:
-        r = list(a)
-        while len(r) >= len(b):
-            c, shift = r[-1], len(r) - len(b)
-            r = [b[-1] * x for x in r]
-            for i, bi in enumerate(b):
-                r[shift + i] -= c * bi
-            _poly_trim(r, 0)
-        a, b = b, _zx_primitive(r)
+        scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+        a, b = b, _zx_primitive(_zx_divmod([scale * c for c in a], b)[1])
     return a
+
+
+def _zx_squarefree_part(s: Sequence[int]) -> list[int]:
+    """s / gcd(s, s'): the primitive product of the distinct irreducible
+    factors of a nonzero primitive s ([1] for a constant)."""
+    return _zx_exact_div(s, _zx_gcd(s, _zx_derivative(s)))
 
 
 def _zx_from_rationals(f: UniPoly) -> list[int]:
@@ -297,24 +307,17 @@ def _zx_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     Each division is exact in Z[x]: a primitive divisor over Q of an integer
     polynomial divides it over Z (Gauss's lemma).
     """
-    def exact(a, b):
-        quotient = _zx_try_div(a, b)
-        if quotient is None:
-            raise InternalInvariantError("inexact division in Yun's algorithm")
-        return quotient
-
-    df = _zx_derivative(f)
-    a0 = _zx_gcd(f, df)
-    b = exact(f, a0)
-    d = _zx_sub(exact(df, a0), _zx_derivative(b))
+    b = _zx_squarefree_part(f)
+    a0 = _zx_exact_div(f, b)  # gcd(f, f')
+    d = _zx_sub(_zx_exact_div(_zx_derivative(f), a0), _zx_derivative(b))
     out: list[tuple[list[int], int]] = []
     i = 1
     while len(b) > 1:
         s = _zx_gcd(b, d)
         if len(s) > 1:
             out.append((s, i))
-        b = exact(b, s)
-        d = _zx_sub(exact(d, s), _zx_derivative(b))
+        b = _zx_exact_div(b, s)
+        d = _zx_sub(_zx_exact_div(d, s), _zx_derivative(b))
         i += 1
     return out
 
@@ -492,7 +495,7 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
     s = _zx_from_rationals(h)
     p = _good_prime(s, 50)
     if p is None:
-        s = _zx_try_div(s, _zx_gcd(s, _zx_derivative(s)))
+        s = _zx_squarefree_part(s)
         p = _good_prime(s, 100_000)
         if p is None:
             raise InternalInvariantError("no usable prime below 100000")

@@ -3,15 +3,18 @@
 The Sturm chain of a squarefree p is p_0 = p, p_1 = p', and then
 p_{i+1} = -rem(p_{i-1}, p_i) until the remainder vanishes.  For a < b with
 p(a) != 0 and p(b) != 0, the drop in sign variations V(a) - V(b) equals the
-number of distinct real roots in (a, b).  All arithmetic is over Q, signs
-at +-infinity come from leading terms, and endpoint roots are divided out
+number of distinct real roots in (a, b).  The squarefree part p of f comes
+from factor.py's Z[x] helpers (f / gcd(f, f') on the primitive integer
+multiple of f); the chain and its signs are exact over Q, signs at
++-infinity come from leading terms, and endpoint roots are divided out
 before the chain is consulted, so the closed-interval count is exact.
 
 A polynomial f with rational coefficients is strictly monotone on the whole
 real line exactly when its derivative never changes sign, equivalently when
-every real root of f' has even multiplicity.  The test splits f' into its
-odd- and even-multiplicity parts with Yun's decomposition and counts real
-roots of the odd part; zero roots plus odd degree of f gives monotonicity.
+every real root of f' has even multiplicity.  The test multiplies the parts
+of odd multiplicity in Yun's decomposition of f' (in Z[x], boxed once) and
+counts real roots of that product; zero roots plus odd degree of f gives
+monotonicity.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ from fractions import Fraction
 
 from ..errors import ConstantPolynomialError, SpecMismatchError, ZeroPolynomialError
 from ..fields import Rationals
-from .core import UniPoly, gcd_poly
-from .factor import squarefree_decomposition
+from .core import UniPoly
+from .factor import _zx_from_rationals, _zx_mul, _zx_squarefree, _zx_squarefree_part, _zx_to_monic
 
 
 def _sign(x: Fraction) -> int:
@@ -67,20 +70,15 @@ def sturm_real_roots(f: UniPoly, interval: tuple | None = None) -> int:
         raise SpecMismatchError("Sturm counting works over Q")
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has every real as a root")
-    if f.degree == 0:
-        return 0
     spec = f.spec
-    squarefree = (f // gcd_poly(f, f.derivative())).monic()
+    s = _zx_to_monic(_zx_squarefree_part(_zx_from_rationals(f)))
     if interval is None:
-        if squarefree.degree == 0:
-            return 0
-        chain = _sturm_chain(squarefree)
+        chain = _sturm_chain(s)
         return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo > hi:
         raise ValueError("interval endpoints out of order")
     count = 0
-    s = squarefree
     for endpoint in {lo, hi}:
         if s.eval(spec.element(endpoint)).is_zero():
             count += 1
@@ -92,14 +90,14 @@ def sturm_real_roots(f: UniPoly, interval: tuple | None = None) -> int:
 
 
 def odd_multiplicity_part(f: UniPoly) -> UniPoly:
-    """Product of the squarefree factors of f that occur to an odd power."""
-    if f.degree < 1:
-        return UniPoly.constant(f.spec, f.spec.one())
-    part = UniPoly.constant(f.spec, f.spec.one())
-    for s, mult in squarefree_decomposition(f):
-        if mult % 2 == 1:
-            part = part * s
-    return part
+    """Monic product of the squarefree factors of f over Q that occur to an
+    odd power, multiplied in Z[x] from Yun's primitive parts."""
+    part = [1]
+    if f.degree >= 1:
+        for s, mult in _zx_squarefree(_zx_from_rationals(f)):
+            if mult % 2 == 1:
+                part = _zx_mul(part, s)
+    return _zx_to_monic(part)
 
 
 def is_strictly_monotone(f: UniPoly) -> bool:
@@ -114,9 +112,4 @@ def is_strictly_monotone(f: UniPoly) -> bool:
         raise ConstantPolynomialError("monotonicity needs a nonconstant polynomial")
     if f.degree % 2 == 0:
         return False
-    if f.degree == 1:
-        return True
-    odd_part = odd_multiplicity_part(f.derivative())
-    if odd_part.degree < 1:
-        return True
-    return sturm_real_roots(odd_part) == 0
+    return sturm_real_roots(odd_multiplicity_part(f.derivative())) == 0

@@ -14,7 +14,8 @@ so the oracles read each container once per call.  elements_built counts
 the FieldElements a call builds, for the tests that keep work on values.
 Rational roots come from the divisor test and prime powers from exact
 integer k-th roots (the library lifts roots modulo a prime and takes
-rounded float roots).
+rounded float roots).  A root's multiplicity comes from repeated boxed
+division by x - b (the library counts the zeros of f(x + b) at 0).
 """
 from __future__ import annotations
 
@@ -88,6 +89,19 @@ def boxed_xgcd(a, b):
         v0, v1 = v1, v0 - boxed_mul(q, v1)
     lead_inv = r0.leading.inv()
     return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
+
+
+def divmod_root_multiplicity(f, b) -> int:
+    """Multiplicity of b as a root of a nonzero f (0 if not a root), by
+    boxed division by x - b until a remainder is nonzero."""
+    linear = UniPoly(f.spec, [-b, f.spec.one()])
+    k = 0
+    while True:
+        q, r = boxed_divmod(f, linear)
+        if not r.is_zero():
+            return k
+        f = q
+        k += 1
 
 
 def boxed_powmod(a, e, mod):

@@ -145,6 +145,27 @@ def test_cli_matrix_search_refuses_before_sieving_a_huge_height(capsys):
     assert "exceed the cap" in err
 
 
+SCALAR_SCANS_PAST_THE_CAP = [
+    ["search", "--poly", "x^3", "--field", "Q", "--height", "100000", "--matrix-cap", "10000"],
+    ["analyze", "--poly", "x^3", "--field", "Q", "--height", "100000", "--matrix-cap", "10000"],
+    ["analyze", "--poly", "x^3-2*x", "--field", "RCF", "--height", "100000",
+     "--matrix-cap", "10000"],
+    ["analyze", "--poly", "x^3+x+1", "--field", "ACF", "--height", "100000",
+     "--matrix-cap", "10000"],
+]
+
+
+@pytest.mark.parametrize("argv", SCALAR_SCANS_PAST_THE_CAP, ids=" ".join)
+def test_cli_scalar_search_refuses_after_cap_points(capsys, argv):
+    # the rational grid is streamed, but at most --matrix-cap points of it:
+    # none of these f has a rational collision, so the scan stops at the
+    # cap and refuses, without sieving the height-100000 grid
+    code, _, err = _main_within(capsys, argv, "the search did not refuse within 2 s")
+    assert code == 64
+    assert "at least 20000000001 grid points exceed the cap 10000" in err
+    assert "Traceback" not in err
+
+
 HUGE_SCANS = [
     ["bruteforce", "--poly", "x", "--field", "F2", "--n", "200"],
     ["search", "--poly", "x", "--field", "Q", "--n", "100", "--height", "2"],

@@ -24,6 +24,7 @@ from evainject import (
     search_tuple_collisions,
     verify_witness,
 )
+from evainject import engine
 from evainject.engine import _grid_size, _scan_size
 from evainject.errors import ArityMismatchError, EnumerationCapExceededError
 
@@ -97,6 +98,22 @@ def test_scalar_search():
     assert w.image == QQ.one()
     assert search_rational_collisions(GOLDEN, 20) is None
     assert search_rational_collisions(U(QQ, [0, 0, 0, 1]), 10) is None  # x^3 injective
+
+
+def test_scalar_search_scans_at_most_cap_points(monkeypatch):
+    cube, square = U(QQ, [0, 0, 0, 1]), U(QQ, [0, 0, 1])
+    size = _grid_size(10)
+    assert search_rational_collisions(cube, 10, cap=size) is None
+    with pytest.raises(EnumerationCapExceededError,
+                       match=f"^{size} grid points exceed the cap {size - 1}, "):
+        search_rational_collisions(cube, 10, cap=size - 1)
+    # a collision among the first cap points answers, however large the grid
+    w = search_rational_collisions(square, 2000, cap=3000)
+    assert (w.lhs.value, w.rhs.value) == (-1, 1)
+    # past 2h^2 + 1 > cap the refusal never sieves the grid
+    monkeypatch.setattr(engine, "_grid_size", None)
+    with pytest.raises(EnumerationCapExceededError, match="^at least 2000000000001 grid"):
+        search_rational_collisions(cube, 10 ** 6, cap=100)
 
 
 def test_matrix_search_finds_quartic_collision():

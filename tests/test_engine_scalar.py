@@ -28,7 +28,7 @@ from evainject.errors import (
     SpecMismatchError,
 )
 
-from oracles import all_polys, elements_built, image_is_injective
+from oracles import all_polys, divmod_root_multiplicity, elements_built, image_is_injective
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -272,6 +272,38 @@ def test_simple_roots_examples():
     r = simple_roots_condition(U(F5, [0, 2, 0, 1]))
     assert not r.holds
     assert (r.violating_b, r.lam, r.multiplicity_k) == (F5.element(1), F5.element(3), 2)
+
+
+def _multiplicity_inputs(rng):
+    """Seeded f over F_p, F4, F9 and Q whose derivative has a root in the
+    field: random f over the finite fields, f = g(x^p) with f' = 0, and
+    over Q f = c (x - r)^k g + t with k >= 2."""
+    for spec in (F2, F3, F5, F7, F4, ExtensionField(3, [1, 0, 1])):
+        elements, p = list(spec.elements()), spec.characteristic
+        for _ in range(40):
+            g = [rng.choice(elements) for _ in range(rng.randint(1, 6))] + [spec.one()]
+            yield UniPoly(spec, g)
+            spread = [spec.zero()] * (p * (len(g) - 1) + 1)
+            spread[::p] = g
+            yield UniPoly(spec, spread)
+    for _ in range(60):
+        r, t = Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-3, 3)
+        g = U(QQ, [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3)] + [1])
+        yield U(QQ, [-r, 1]) ** rng.randint(2, 4) * g.scale(QQ.element(rng.randint(1, 3))) \
+            + U(QQ, [t])
+
+
+def test_simple_roots_multiplicity_matches_divmod_reference():
+    degenerate = failing = 0
+    for f in _multiplicity_inputs(random.Random(41)):
+        report = simple_roots_condition(f)
+        if not report.holds:
+            b, lam = report.violating_b, report.lam
+            expected = divmod_root_multiplicity(f - UniPoly.constant(f.spec, lam), b)
+            assert report.multiplicity_k == expected >= 2, (f, b)
+            failing += 1
+            degenerate += report.char_p_degenerate
+    assert failing > 300 and degenerate >= 200
 
 
 def test_simple_roots_validation():

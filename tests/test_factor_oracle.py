@@ -11,6 +11,10 @@ rational_roots is compared with sympy's roots over QQ on seeded
 polynomials up to degree about 40 with repeated roots, roots near 10^20 and
 denominators, and with the divisor test of tests/oracles.py on small
 coefficients; its squarefree fallback and a degree-200 input are pinned.
+The rest of the Q[x] path is compared with sympy on seeded products of
+repeated rational factors up to degree 20: the Z[x] gcd and squarefree part
+with sympy's gcd and sqf_part over ZZ, Sturm counts with count_roots, and
+the monotonicity test with the odd-multiplicity parts of sqf_list.
 """
 import random
 import time
@@ -28,10 +32,17 @@ from evainject import (
     factor_finite,
     factor_profile,
     factor_rationals,
+    is_strictly_monotone,
     rational_roots,
+    sturm_real_roots,
 )
 from evainject.cli import parse_field, parse_poly
-from evainject.polynomials.factor import _good_prime, _zx_from_rationals
+from evainject.polynomials.factor import (
+    _good_prime,
+    _zx_from_rationals,
+    _zx_gcd,
+    _zx_squarefree_part,
+)
 from oracles import divisor_rational_roots
 
 BOUNDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -222,3 +233,72 @@ def test_rational_roots_of_degree_200_are_prompt():
     roots = rational_roots(f)
     assert time.perf_counter() - start < 1.0
     assert roots == [Fraction(-10 ** 20, 3), Fraction(5, 7), Fraction(3)]
+
+
+def _repeated_factors(rng, max_degree=20):
+    """(f, roots): f = c * prod q_i^e_i over Q of degree 1..max_degree, each
+    q_i a random linear, quadratic or cubic factor with rational
+    coefficients and e_i in 1..4, so repeated factors are common; roots
+    are the roots of the linear q_i."""
+    f, roots = UniPoly.from_ints(QQ, [Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(1, 4))]), []
+    while True:
+        q = [Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+             for _ in range(rng.randint(1, 3))] + [rng.randint(1, 2)]
+        g = f * UniPoly.from_ints(QQ, q) ** rng.randint(1, 4)
+        if g.degree > max_degree:
+            return (f, roots) if f.degree >= 1 else (UniPoly.from_ints(QQ, q), [])
+        f = g
+        if len(q) == 2:
+            roots.append(-q[0] / q[1])
+
+
+_RNG = random.Random(47)
+Q_PRODUCTS = [_repeated_factors(_RNG, _RNG.randint(3, 20)) for _ in range(100)]
+
+
+def _sympy_poly(f: UniPoly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(f.values)], X, domain="QQ")
+
+
+def _primitive_ints(poly):
+    """A sympy polynomial over ZZ as ascending ints: primitive, with a
+    positive leading coefficient."""
+    prim = poly.primitive()[1]
+    return [int(c) for c in reversed((prim if prim.LC() > 0 else -prim).all_coeffs())]
+
+
+def test_zx_gcd_and_squarefree_part_match_sympy():
+    rng = random.Random(43)
+    for _ in range(100):
+        common = _repeated_factors(rng, rng.randint(1, 8))[0]
+        a = _zx_from_rationals(common * _repeated_factors(rng, rng.randint(1, 12))[0])
+        b = _zx_from_rationals(common * _repeated_factors(rng, rng.randint(1, 12))[0])
+        za, zb = (sympy.Poly(c[::-1], X, domain="ZZ") for c in (a, b))
+        assert _zx_gcd(a, b) == _primitive_ints(sympy.gcd(za, zb))
+        assert _zx_squarefree_part(a) == _primitive_ints(za.sqf_part())
+
+
+def test_sturm_counts_match_sympy():
+    rng = random.Random(47)
+    for f, roots in Q_PRODUCTS:
+        poly = _sympy_poly(f)
+        assert sturm_real_roots(f) == poly.count_roots()
+        ends = roots + [Fraction(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(2)]
+        lo, hi = sorted(rng.sample(ends, 2))
+        assert sturm_real_roots(f, (lo, hi)) == poly.count_roots(lo, hi), (f, lo, hi)
+
+
+def test_monotonicity_matches_sympy():
+    # f is strictly monotone exactly when no real root of f' has odd
+    # multiplicity; f is an antiderivative of a product f' drawn above
+    rng = random.Random(53)
+    verdicts = []
+    for df, _ in Q_PRODUCTS:
+        f = UniPoly.from_ints(QQ, [rng.randint(-3, 3)] + [c / (i + 1)
+                                                          for i, c in enumerate(df.values)])
+        expected = all(g.count_roots() == 0
+                       for g, e in _sympy_poly(df).sqf_list()[1] if e % 2)
+        assert is_strictly_monotone(f) == expected, f
+        verdicts.append(expected)
+    assert 10 <= sum(verdicts) <= 90

@@ -147,6 +147,13 @@ CASES = [
     ["analyze", "--poly", "x^3+1000000000000000000000000*x", "--field", "ACF"],
     ["analyze", "--poly", "x^2+1000000000000000000000001", "--field", "ACF"],
     ["simpleroots", "--poly", "x^3-300000000000000*x", "--field", "Q"],
+    # scalar grid scans past the cap: refused after --matrix-cap points, exit 64
+    ["search", "--poly", "x^3", "--field", "Q", "--height", "100000", "--matrix-cap", "10000"],
+    ["analyze", "--poly", "x^3", "--field", "Q", "--height", "100000", "--matrix-cap", "10000"],
+    ["analyze", "--poly", "x^3-2*x", "--field", "RCF", "--height", "100000",
+     "--matrix-cap", "10000"],
+    ["analyze", "--poly", "x^3+x+1", "--field", "ACF", "--height", "100000",
+     "--matrix-cap", "10000"],
 ]
 
 
