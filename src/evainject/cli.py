@@ -83,6 +83,17 @@ def _parse_int(digits: str, text: str, at: int) -> int:
                          text, at) from None
 
 
+# Python's int-to-string digit limit; 0, no limit, before Python 3.10.7
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _printable(n: int) -> bool:
+    """Whether str(n) stays within Python's int-to-string digit limit: at
+    most 3 * limit bits always does, and past that |n| < 10^limit decides."""
+    limit = _int_max_str_digits()
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10 ** limit
+
+
 def _parse_json(text: str, what: str):
     """json.loads(text); a malformed, over-long or too deeply nested literal
     is a ParseError."""
@@ -181,6 +192,10 @@ class _PolyParser:
         if kind is not None:
             raise ParseError(f"unexpected token {val!r}", self.text, at)
         spec = self.spec
+        if isinstance(spec, Rationals) and not all(
+                _printable(c.numerator) and _printable(c.denominator) for c in terms.values()):
+            raise ParseError(f"a coefficient has more than {_int_max_str_digits()} "
+                             "digits, the int-to-string limit", self.text, 0)
         if self.nvars is None:
             degree = max((e[0] for e in terms), default=-1)
             if degree > MAX_UNIVARIATE_DEGREE:
@@ -230,9 +245,22 @@ class _PolyParser:
             if kind != "INT":
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
             e = _parse_int(val, self.text, at)
+            if isinstance(self.spec, Rationals) and len(base) == 1:
+                self._check_power(next(iter(base.values())), e, at)
             return _power(base, self._constant(self.spec.one().value), e,
                           functools.partial(_sparse_mul, self.spec))
         return base
+
+    def _check_power(self, c: Fraction, e: int, at: int):
+        """Refuse c^e, the one coefficient of a one-term base raised to e,
+        when it is sure to pass the int-to-string limit, before building it:
+        a part of c with b >= 2 bits is at least 2^(b-1), so its e-th power
+        has more than limit digits once (b-1) * e >= 3.4 * limit."""
+        limit = _int_max_str_digits()
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length()) - 1
+        if limit and 10 * bits * e >= 34 * limit:
+            raise ParseError(f"a coefficient of this power would have more than {limit} "
+                             "digits, the int-to-string limit", self.text, at)
 
     def _atom(self):
         kind, val, at = self._next()

@@ -20,8 +20,13 @@ Verdict semantics
   sufficient criterion is implemented.
 
 Dispatch by base field (scalar case): algebraically closed -> injective
-iff degree 1; finite -> injective iff permutation polynomial (Hermite test
-cross-checked by the first-collision scan at small q); the reals ->
+iff degree 1; finite -> injective iff permutation polynomial (Hermite's
+criterion in power-sum form, after Lidl and Niederreiter, Finite Fields,
+Lemma 7.3 and Theorem 7.4: exactly one root, and sum_c f(c)^t = 0 for
+1 <= t <= q - 2 with p not dividing t, the sums read from a discrete-log
+table of F_q^*; cross-checked by the first-collision scan at small q, and
+replaced by that scan when the sums would pass the matrix cap; a field of
+more elements than the cap is refused); the reals ->
 injective iff strictly monotone; Q -> bounded search only, never Injective
 for degree at least 2.
 
@@ -198,17 +203,20 @@ class Verdict:
 
 @dataclass(frozen=True)
 class PermutationCheck:
-    """Whether f permutes F_q: hermite, the degree-reduction test, decides;
-    exhaustive is the first-collision scan's answer, or None above the cap,
-    and collision is that scan's verified first collision, if any."""
+    """Whether f permutes F_q: hermite, Hermite's criterion read from power
+    sums of f's values on a discrete-log table, decides, or is None when
+    its sums would pass the matrix cap; exhaustive is the first-collision
+    scan's answer, which decides when hermite is None, or None when that
+    scan did not cross-check (q above the scalar cap), and collision is
+    the scan's verified first collision, if any."""
 
-    hermite: bool
+    hermite: bool | None
     exhaustive: bool | None
     collision: Witness | None
 
     @property
     def is_permutation(self) -> bool:
-        return self.hermite
+        return self.exhaustive if self.hermite is None else self.hermite
 
 
 @dataclass(frozen=True)
@@ -640,72 +648,147 @@ def _check_pairing(f, spec: FieldSpec):
             "symbolic tags take rational coefficients")
 
 
-def _hermite_is_permutation(f: UniPoly) -> bool:
-    """Degree-reduction permutation test over F_q.
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _generator_powers(spec: FieldSpec) -> list:
+    """[g^0, g^1, ..., g^(q-2)] as canonical values, for g the first value
+    in index order that generates F_q^*: g^((q-1)/r) != 1 for every prime r
+    dividing q - 1."""
+    q, mul, one = spec.order, spec._mul, spec.one().value
+    cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    g = next(v for v in itertools.islice(spec.values(), 1, None)
+             if all(_power(v, one, e, mul) != one for e in cofactors))
+    powers = [one]
+    for _ in range(q - 2):
+        powers.append(mul(powers[-1], g))
+    return powers
+
+
+def _hermite_is_permutation(f: UniPoly, cap: int = DEFAULT_BOUNDS.matrix_cap) -> bool | None:
+    """Hermite's criterion over F_q in power-sum form (Lidl and Niederreiter,
+    Finite Fields, Lemma 7.3 and Theorem 7.4).
 
     f permutes F_q iff it has exactly one root in F_q and, for every t
-    with 1 <= t <= q - 2 not divisible by the characteristic, the
-    reduction of f^t modulo x^q - x has degree at most q - 2.
+    with 1 <= t <= q - 2 not divisible by the characteristic p, the
+    reduction of f^t modulo x^q - x has no x^(q-1) term.  That coefficient
+    is -S_t, S_t the sum of f(c)^t over c in F_q.  Folding each exponent
+    e >= q of f to (e-1) mod (q-1) + 1 keeps f's values; after it, f^t has
+    degree at most q - 2 while t * deg f <= q - 2, so S_t = 0 there and t
+    starts at ceil((q-1) / deg f).
 
-    Polynomials are sparse {exponent: canonical value} maps without zero
-    values.  Reducing modulo x^q - x folds an exponent e >= q to
-    ((e-1) mod (q-1)) + 1, so a reduced polynomial has degree at most q - 1
-    and exceeds q - 2 exactly when it has an x^(q-1) term.
+    The values come from a table of the powers of a generator g of F_q^*,
+    built through the spec's hooks, and its inverse, the discrete log:
+    f(g^j) = sum of f_i g^(i*j) and f(c)^t = g^(t * log f(c)).  A value's
+    base-p digits are packed into k slots of w bits with 2^w > q(p-1), so
+    one int sum of at most q packed values adds slot by slot and is
+    reduced mod p once.  This evaluator shares no code with _scalar_image,
+    the cross-check scan's.
+
+    Bounded work: the test sums q - 1 terms per nonzero non-constant
+    coefficient of the folded f to evaluate it, and q - 1 per S_t.  When
+    that count passes cap, it returns None before any table is built, and
+    the caller decides by the O(q) scan instead.
     """
     spec = f.spec
-    q = spec.order
-    p = spec.characteristic
-    add, mul, zero = spec._add, spec._mul, spec.zero().value
-    image = _scalar_image(f)
-    if sum(1 for a in spec.values() if image(a) == zero) != 1:
+    q, p = spec.order, spec.characteristic
+    m, add, zero = q - 1, spec._add, spec.zero().value
+    folded = {}
+    for e, c in enumerate(f.values):
+        if c != zero:
+            e = e and (e - 1) % m + 1
+            folded[e] = add(folded.get(e, zero), c)
+    constant = spec._sort_key(folded.pop(0, zero))
+    folded = {e: c for e, c in folded.items() if c != zero}
+    if not folded:
+        return False  # a constant; q >= 2
+    t0 = -(-m // max(folded))
+    sums = (m - t0) - ((m - 1) // p - (t0 - 1) // p)  # t in [t0, q - 2], p not dividing t
+    if m * (len(folded) + sums) > cap:
+        return None
+    k = 1
+    while p ** k < q:
+        k += 1
+    w = (q * (p - 1)).bit_length()
+    mask, slots = (1 << w) - 1, [(i * w, p ** i) for i in range(k)]
+
+    def pack(index: int) -> int:
+        """The element of that enumeration index, one base-p digit per slot."""
+        out = 0
+        for shift, _ in slots:
+            index, digit = divmod(index, p)
+            out |= digit << shift
+        return out
+
+    def index(s: int) -> int:
+        """The enumeration index of the element a sum of packed values is."""
+        return sum(((s >> shift) & mask) % p * weight for shift, weight in slots)
+
+    log, powers = [0] * q, []  # log[index of g^j] = j; powers[j] = g^j packed
+    for j, i in enumerate(map(spec._sort_key, _generator_powers(spec))):
+        log[i] = j
+        powers.append(pack(i))
+    terms = [(e, log[spec._sort_key(c)]) for e, c in folded.items()]
+    base = pack(constant)
+    roots, logs = (0, [log[constant]]) if constant else (1, [])
+    for j in range(m):  # f(g^j)
+        i = index(base + sum([powers[(lc + e * j) % m] for e, lc in terms]))
+        if i:
+            logs.append(log[i])
+        elif roots:
+            return False  # a second root
+        else:
+            roots = 1
+    if not roots:
         return False
-
-    def reduced(pairs) -> dict:
-        out = {}
-        for e, c in pairs:
-            if e >= q:
-                e = (e - 1) % (q - 1) + 1
-            out[e] = add(out.get(e, zero), c)
-        return {e: c for e, c in out.items() if c != zero}
-
-    terms = reduced(enumerate(f.values))
-    ft = terms
-    for t in range(1, q - 1):
-        if t > 1:
-            ft = reduced((e1 + e2, mul(c1, c2))
-                         for e1, c1 in ft.items() for e2, c2 in terms.items())
-        if t % p != 0 and q - 1 in ft:
+    for t in range(t0, m):
+        if t % p and index(sum([powers[lt * t % m] for lt in logs])):
             return False
     return True
 
 
-def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_cap
-                      ) -> PermutationCheck:
-    """Run the degree-reduction test, cross-checked by the first-collision scan.
+def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_cap,
+                      cap: int = DEFAULT_BOUNDS.matrix_cap) -> PermutationCheck:
+    """Run Hermite's test, cross-checked by the first-collision scan.
 
-    The scan runs once, when q <= cross_check_cap or when the test says f
-    is not a permutation, so a non-permutation always carries its first
-    collision; a disagreement between the two methods is an implementation
-    bug and raises loudly.
+    Hermite's test sums powers of f's values read from a discrete-log
+    table.  A field of more than cap elements is refused at once
+    (EnumerationCapExceededError, exit 64 in the CLI).  When the test
+    would sum more than cap terms, it does not run and the scan decides
+    alone.  Otherwise the scan runs once, when q <= cross_check_cap or
+    when the test says f is not a permutation, so a non-permutation
+    always carries its first collision; a disagreement between the two
+    methods is an implementation bug and raises loudly.
     """
     spec = f.spec
     if not spec.is_finite:
         raise SpecMismatchError("permutation polynomials live over finite fields")
-    hermite = _hermite_is_permutation(f)
-    cross_check = spec.order <= cross_check_cap
+    _scan_size(spec.order, 1, cap, "field elements",
+               "; the permutation test tabulates or scans them all")
+    hermite = _hermite_is_permutation(f, cap)
+    cross_check = hermite is None or spec.order <= cross_check_cap
     collision = None
     if cross_check or not hermite:
         collision = _first_collision(f, spec.values(), _scalar_image(f), spec.element)
-        if (collision is None) != hermite:
+        if hermite is not None and (collision is None) != hermite:
             raise InconsistentMethodsError(
-                f"degree-reduction test says {hermite}, exhaustive scan says "
+                f"Hermite's test says {hermite}, exhaustive scan says "
                 f"{collision is None} for {f} over {spec}")
-    return PermutationCheck(hermite, hermite if cross_check else None, collision)
+    return PermutationCheck(hermite, collision is None if cross_check else None, collision)
 
 
 def permutation_verdict(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     """Injective iff f permutes F_q, else the first collision; carries the check."""
-    check = permutation_check(f, cross_check_cap=bounds.scalar_cap)
+    check = permutation_check(f, bounds.scalar_cap, bounds.matrix_cap)
     if check.is_permutation:
         return Verdict(Status.INJECTIVE, Reason.PERMUTATION_POLYNOMIAL,
                        f"f permutes the {f.spec.order} elements of {f.spec}",

@@ -340,6 +340,7 @@ class FieldSpec:
         raise NotImplementedError
 
     def _sort_key(self, a):
+        """A key ordering values; over F_q, the value's enumeration index."""
         raise NotImplementedError
 
     def _format(self, a) -> str:

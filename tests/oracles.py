@@ -12,9 +12,11 @@ fields._poly_*, matrices._product, UniPoly.eval, UniPoly.compose_shift and
 MultiPoly.eval).  Each read of coeffs or entries boxes the whole container,
 so the oracles read each container once per call.  elements_built counts
 the FieldElements a call builds, for the tests that keep work on values.
-Rational roots come from the divisor test and prime powers from exact
-integer k-th roots (the library lifts roots modulo a prime and takes
-rounded float roots).  A root's multiplicity comes from repeated boxed
+Permutations of F_q come from Hermite's criterion by degree reduction of
+sparse powers of f (the library reads the same coefficients as power sums
+from a discrete-log table).  Rational roots come from the divisor test and
+prime powers from exact integer k-th roots (the library lifts roots modulo
+a prime and takes rounded float roots).  A root's multiplicity comes from repeated boxed
 division by x - b (the library counts the zeros of f(x + b) at 0).
 """
 from __future__ import annotations
@@ -218,6 +220,42 @@ def image_is_injective(f) -> bool:
         if v in seen:
             return False
         seen.add(v)
+    return True
+
+
+def degree_reduction_is_permutation(f) -> bool:
+    """Hermite's criterion by degree reduction: f permutes F_q iff it has
+    exactly one root in F_q (by boxed Horner) and, for every t with
+    1 <= t <= q - 2 not divisible by the characteristic, f^t reduced
+    modulo x^q - x has no x^(q-1) term.
+
+    Powers are sparse {exponent: canonical value} maps without zero values,
+    each f^t the product of f^(t-1) and f; an exponent e >= q folds to
+    ((e-1) mod (q-1)) + 1.  (The library reads the same coefficient as
+    -sum f(c)^t from a discrete-log table.)
+    """
+    spec = f.spec
+    q, p = spec.order, spec.characteristic
+    add, mul, zero = spec._add, spec._mul, spec.zero().value
+    if sum(1 for a in spec.elements() if boxed_uni_eval(f, a).is_zero()) != 1:
+        return False
+
+    def reduced(pairs) -> dict:
+        out = {}
+        for e, c in pairs:
+            if e >= q:
+                e = (e - 1) % (q - 1) + 1
+            out[e] = add(out.get(e, zero), c)
+        return {e: c for e, c in out.items() if c != zero}
+
+    terms = reduced(enumerate(f.values))
+    ft = terms
+    for t in range(1, q - 1):
+        if t > 1:
+            ft = reduced((e1 + e2, mul(c1, c2))
+                         for e1, c1 in ft.items() for e2, c2 in terms.items())
+        if t % p != 0 and q - 1 in ft:
+            return False
     return True
 
 

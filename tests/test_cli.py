@@ -185,6 +185,32 @@ def test_cli_refuses_a_scan_of_a_huge_power_promptly(capsys, argv):
     assert "exceed the cap" in err and "^" in err and "Traceback" not in err
 
 
+HERMITE_PAST_THE_CAP = [
+    ["analyze", "--poly", "x^2", "--field", "F2147483647"],
+    ["permcheck", "--poly", "x^1001+x", "--field", "F1000003"],
+]
+
+
+@pytest.mark.parametrize("argv", HERMITE_PAST_THE_CAP, ids=" ".join)
+def test_cli_permutation_test_refuses_a_field_past_the_cap_promptly(capsys, argv):
+    # Hermite's test tabulates all q elements, so a field of more than
+    # --matrix-cap elements is refused before any table is built
+    code, _, err = _main_within(capsys, argv, "the permutation test did not refuse within 2 s")
+    assert code == 64
+    assert "field elements exceed the cap 1000000" in err and "Traceback" not in err
+
+
+def test_cli_refuses_a_rational_too_long_to_print(capsys):
+    # 3^10000 has 4,772 digits, past Python's int-to-string limit, so the
+    # report could not print it; 3^(10^9) is refused before it is built
+    for poly in ("3^10000+x", "3^1000000000+x", "(1/3^2000)^5*x"):
+        code, out, err = _main_within(capsys, ["analyze", "--poly", poly, "--field", "Q"],
+                                      "the parser did not refuse within 2 s")
+        assert code == 64 and out == ""
+        assert "digits, the int-to-string limit" in err and "Traceback" not in err
+    assert parse_poly("3^8000+x", QQ).constant_term == QQ.element(3 ** 8000)
+
+
 NESTED_TOO_DEEPLY = [
     ["analyze", "--field", "Q", "--poly", "(" * 200 + "x" + ")" * 200],
     ["analyze", "--field", "Q", "--poly=" + "-" * 2000 + "x"],

@@ -20,15 +20,23 @@ from evainject import (
     simple_roots_condition,
     verify_witness,
 )
-from evainject.engine import permutation_verdict
+from evainject import engine
+from evainject.engine import PermutationCheck, permutation_verdict
 from evainject.errors import (
     ConstantPolynomialError,
     EnumerationCapExceededError,
     NotAWitnessError,
     SpecMismatchError,
 )
+from evainject.fields import is_prime
 
-from oracles import all_polys, divmod_root_multiplicity, elements_built, image_is_injective
+from oracles import (
+    all_polys,
+    degree_reduction_is_permutation,
+    divmod_root_multiplicity,
+    elements_built,
+    image_is_injective,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -211,6 +219,100 @@ def test_permutation_check_hermite_only_above_cap():
     check = permutation_check(U(F7, [0, 0, 0, 0, 0, 1]), cross_check_cap=5)
     assert check.exhaustive is None
     assert check.is_permutation == check.hermite == True  # gcd(5, 6) = 1
+
+
+def _finite_field(q):
+    return PrimeField(q) if is_prime(q) else ExtensionField.from_order(q)
+
+
+def _random_poly(rng, spec, degree):
+    return UniPoly._from_values(spec, [spec._value_from_index(rng.randrange(spec.order))
+                                       for _ in range(degree)]
+                                + [spec._value_from_index(rng.randrange(1, spec.order))])
+
+
+def _binomial(spec, a, k, b):
+    """a*x^k + b for element indices a, b."""
+    zero = spec.zero().value
+    return UniPoly._from_values(spec, [spec._value_from_index(b)] + [zero] * (k - 1)
+                                + [spec._value_from_index(a)])
+
+
+def test_hermite_power_sums_match_degree_reduction_on_small_fields():
+    # every f of degree <= 4 over F2-F5; over F7, F8 and F9, where all of
+    # them would take about 30 s, a seeded sample of degree 4 and every
+    # binomial a*x^k + b with k <= 4
+    rng = random.Random(9)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        spec = _finite_field(q)
+        if q <= 5:
+            polys = list(all_polys(spec, 4))
+        else:
+            polys = [_random_poly(rng, spec, 4) for _ in range(300)]
+            polys += [_binomial(spec, a, k, b) for a in range(1, q) for k in range(1, 5)
+                      for b in range(q)]
+        for f in polys:
+            assert engine._hermite_is_permutation(f) == degree_reduction_is_permutation(f), f
+
+
+def test_hermite_power_sums_match_degree_reduction_on_larger_fields():
+    # seeded f of degree <= 8, and binomials a*x^k + b: permutations when
+    # gcd(k, q - 1) = 1 (k past q folds), non-permutations with one root
+    # otherwise; the oracle's boxed root count keeps k small on F101, F251
+    rng = random.Random(251)
+    for q in (53, 64, 101, 251):
+        spec = _finite_field(q)
+        polys = [_random_poly(rng, spec, rng.randint(2, 8)) for _ in range(6)]
+        coprime = [k for k in range(2, 2 * q if q < 100 else 20) if math.gcd(k, q - 1) == 1]
+        polys += [_binomial(spec, rng.randrange(1, q), k, rng.randrange(q))
+                  for k in rng.sample(coprime, 3)]
+        polys.append(_binomial(spec, 1, next(k for k in range(2, q) if math.gcd(k, q - 1) > 1), 0))
+        expected = [True] * 3 + [False]
+        for f in polys:
+            assert engine._hermite_is_permutation(f) == degree_reduction_is_permutation(f), f
+        assert [engine._hermite_is_permutation(f) for f in polys[-4:]] == expected
+
+
+def test_hermite_shares_no_evaluator_with_the_cross_check(monkeypatch):
+    # the root count and the power sums read f's values from the log table,
+    # so a broken _scalar_image cannot make both methods agree on a mistake
+    def broken(f):
+        raise AssertionError("Hermite's test called _scalar_image")
+    monkeypatch.setattr(engine, "_scalar_image", broken)
+    for q, a, k, b in ((7, 1, 5, 0), (7, 1, 3, 2), (53, 2, 3, 3), (64, 2, 5, 1), (9, 1, 2, 0)):
+        f = _binomial(_finite_field(q), a, k, b)
+        assert engine._hermite_is_permutation(f) == (math.gcd(k, q - 1) == 1)
+
+
+def test_hermite_counts_its_sums_against_the_cap():
+    # over F7, x^5 sums 6 terms to evaluate f, then 6 for each S_t with
+    # t = 2..5: 30 terms in all, which a cap of 30 allows; under a cap of
+    # 29 Hermite's test does not run and the scan decides alone
+    f = U(F7, [0, 0, 0, 0, 0, 1])
+    assert permutation_check(f, cap=30) == PermutationCheck(True, True, None)
+    assert permutation_check(f, 2, cap=30) == PermutationCheck(True, None, None)
+    assert permutation_check(f, 2, cap=29) == PermutationCheck(None, True, None)
+    with pytest.raises(EnumerationCapExceededError, match="7 field elements exceed the cap 6"):
+        permutation_check(f, cap=6)
+    big = U(PrimeField(1000003), [0, 1] + [0] * 999 + [1])
+    with pytest.raises(EnumerationCapExceededError, match="1000003 field elements"):
+        permutation_check(big)
+
+
+def test_scan_decides_where_hermite_would_pass_the_cap(monkeypatch):
+    # x^3 over F2003 would sum 2002 * (1 + 1334) terms, past the default
+    # cap: no table is built and the scan finds it a permutation; x^14 + x^3
+    # is not one, and the scan's first collision says so
+    def no_table(spec):
+        raise AssertionError("built a discrete-log table past the cap")
+    monkeypatch.setattr(engine, "_generator_powers", no_table)
+    spec = PrimeField(2003)
+    check = permutation_check(U(spec, [0, 0, 0, 1]))
+    assert check == PermutationCheck(None, True, None) and check.is_permutation
+    g = U(spec, [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1])  # x^14 + x^3
+    check = permutation_check(g)
+    assert check.hermite is None and check.exhaustive is False and not check.is_permutation
+    assert g.eval(check.collision.lhs) == g.eval(check.collision.rhs) == check.collision.image
 
 
 def test_finite_field_scalar_verdict_is_permutation_verdict():

@@ -154,6 +154,13 @@ CASES = [
      "--matrix-cap", "10000"],
     ["analyze", "--poly", "x^3+x+1", "--field", "ACF", "--height", "100000",
      "--matrix-cap", "10000"],
+    # Hermite's test over a field of more than --matrix-cap elements: refused, exit 64
+    ["analyze", "--poly", "x^2", "--field", "F2147483647"],
+    ["permcheck", "--poly", "x^1001+x", "--field", "F1000003"],
+    # Hermite's sums would pass --matrix-cap below it: the scan decides, hermite null
+    ["permcheck", "--poly", "x^3", "--field", "F2003"],
+    # a rational coefficient past the int-to-string limit: a parse error, exit 64
+    ["analyze", "--poly=3^10000+x", "--field=Q"],
 ]
 
 
