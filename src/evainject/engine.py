@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -90,6 +91,7 @@ from .polynomials import (
     rational_roots,
     zero_multiplicity,
 )
+from .polynomials.factor import _zx_from_rationals
 
 __all__ = [
     "Bounds",
@@ -279,13 +281,22 @@ def verify_witness(f, lhs, rhs) -> Witness:
     return Witness(lhs, rhs, left)
 
 
-def _first_collision(f, points: Iterable, image, box) -> Witness | None:
-    """The first collision of f along points, re-checked by verify_witness.
+def _first_collision(f, blocks: Iterable, box) -> Witness | None:
+    """The first collision of f along blocks of points, re-checked by
+    verify_witness.
 
-    This is the one scan behind every reported collision.  Points are
-    evaluated in the order given; the first point whose image was seen
-    before is the witness rhs, and the earliest point with that image is
-    its lhs.  The callers fix the order of points:
+    This is the one scan behind every reported collision.  Each block is
+    (bucket, keys, points): points a list, and keys an iterable, possibly
+    lazy, of the key of f at each point in turn.  Two points collide when
+    both their bucket and their key match, so a key need only be exact
+    within its bucket.  Points are taken in block order, and within a block
+    in list order; the first point whose bucket and key were seen before is
+    the witness rhs, and the earliest point with them is its lhs.  A block
+    runs at C speed: each key goes into its bucket's table by setdefault,
+    which keeps the earliest point, and the block stops at the first point
+    for which setdefault returns another point (points of one scan are
+    distinct objects), so a lazy key past the witness is never computed.
+    The callers fix the order of points:
 
     * F_q: FieldSpec.values(), by index (the int itself for F_p; for
       F_{p^k} the coefficient tuple read as base-p digits, lowest first);
@@ -296,23 +307,45 @@ def _first_collision(f, points: Iterable, image, box) -> Witness | None:
       the entries (F_q by index, the rational grid in its order), the last
       entry changing fastest.
 
-    Every scan brings its own key: image(point) is hashable and equal
-    exactly when the values of f are.  Rational scans key int pairs by f's
-    reduced pair, and a matrix of grid pairs by the reduced integer matrix
-    and denominator of f(A); finite-field scalar and F_q^m scans key
-    canonical values (or tuples of them) by f's canonical value, and
-    M_n(F_q) scans key index tuples into FieldSpec.values() by f(A)'s index
-    tuple, through q x q tables.  Only the two witness points are then
-    boxed, by box, and verify_witness re-checks them with its own
-    evaluator, which shares no code with the keys.
+    Every scan brings its own keys.  The scalar rational scan runs on the
+    grid's rows (_rational_blocks): a point's bucket is the part of the
+    reduced denominator of P(a/b) prime to P's leading coefficient, P the
+    primitive integer multiple of f, and its key the rest of the value, an
+    int or a reduced pair.  Every other scan goes through
+    _keyed_blocks, in one bucket, with blocks of 16, 32, ... up to _BLOCK
+    points and keys from an image function: a matrix of grid pairs is keyed
+    by the reduced integer matrix and denominator of f(A), Q^m tuples by
+    f's reduced pair, finite-field scalar and F_q^m points by f's canonical
+    value (or tuples of them), and M_n(F_q) index tuples into
+    FieldSpec.values() by f(A)'s index tuple, through q x q tables.  Only
+    the two witness points are then boxed, by box, and verify_witness
+    re-checks them with its own evaluator, which shares no code with the
+    keys.
     """
-    seen = {}
-    for point in points:
-        value = image(point)
-        if value in seen:
-            return verify_witness(f, box(seen[value]), box(point))
-        seen[value] = point
+    tables = {}
+    for bucket, keys, points in blocks:
+        firsts, check = itertools.tee(map(tables.setdefault(bucket, {}).setdefault, keys, points))
+        hit = next(itertools.compress(zip(firsts, points), map(operator.is_not, check, points)),
+                   None)
+        if hit is not None:
+            return verify_witness(f, box(hit[0]), box(hit[1]))
     return None
+
+
+# The most points in one block of _first_collision.
+_BLOCK = 1024
+
+
+def _keyed_blocks(points: Iterable, image) -> Iterator[tuple]:
+    """points for _first_collision, in one bucket and in blocks of 16, 32,
+    64, ... up to _BLOCK points, each point keyed lazily by image(point).
+    Since _first_collision computes no key past the witness, a block costs
+    at most the listing of points past it, and the blocks grow from 16 so
+    that a scan that collides early lists few of them."""
+    points, size = iter(points), 16
+    while block := list(itertools.islice(points, size)):
+        yield None, map(image, block), block
+        size = min(2 * size, _BLOCK)
 
 
 def verify_verdict(f, lhs, rhs) -> Verdict:
@@ -330,13 +363,22 @@ def verify_verdict(f, lhs, rhs) -> Verdict:
 # Rational search grids
 # ---------------------------------------------------------------------------
 
-def _grid_pairs(height: int) -> Iterator[tuple[int, int]]:
-    """rational_grid(height) as (num, den) int pairs, in its order, lazily."""
+def _grid_rows(height: int) -> Iterator[tuple[int, int, int, list[bool]]]:
+    """rational_grid(height) row by row, lazily: for each denominator b in
+    1..height, the row's first numerator -height*b, its length 2*height*b + 1
+    and, since that first numerator is 0 mod b, the flags gcd(j, b) == 1 for
+    j = 0..b-1, which itertools.compress cycles to keep the reduced a/b."""
     if height < 1:
         raise AlgebraError("search height must be at least 1")
-    return ((num, den) for den in range(1, height + 1)
-            for num in range(-height * den, height * den + 1)
-            if math.gcd(num, den) == 1)
+    for b in range(1, height + 1):
+        yield b, -height * b, 2 * height * b + 1, [math.gcd(j, b) == 1 for j in range(b)]
+
+
+def _grid_pairs(height: int) -> Iterator[tuple[int, int]]:
+    """rational_grid(height) as (num, den) int pairs, in its order, lazily."""
+    return ((num, den) for den, start, length, coprime in _grid_rows(height)
+            for num in itertools.compress(range(start, start + length),
+                                          itertools.cycle(coprime)))
 
 
 def rational_grid(height: int) -> list[Fraction]:
@@ -381,23 +423,69 @@ def _scan_size(base: int, exponent: int, cap: int, what: str, hint: str = "") ->
     raise EnumerationCapExceededError(f"{size} {what} exceed the cap {cap}{hint}")
 
 
-def _rational_image(f: UniPoly):
-    """The key of f(a/b) for the int pair (a, b): with f = P/D, P in Z[x] and
-    d = deg f, the reduced pair of N / (D*b^d), N = sum P_i a^i b^(d-i) by
-    homogenized Horner."""
-    lcm = math.lcm(*(c.denominator for c in f.values))
-    lead, *rest = [int(c * lcm) for c in reversed(f.values)] or [0]
+def _row_values(coeffs: list[int], b: int, start: int, length: int) -> Iterator[int]:
+    """N(a) = sum P_i a^i b^(d-i) for the length ints a from start on, lazily,
+    P = coeffs of degree d; so P(a/b) = N(a) / b^d.
 
-    def image(point: tuple[int, int]) -> tuple[int, int]:
-        a, b = point
-        num, b_power = lead, 1
-        for c in rest:
-            b_power *= b
-            num = num * a + c * b_power
-        den = lcm * b_power
-        g = math.gcd(num, den)
-        return num // g, den // g
-    return image
+    N is a polynomial of degree d in a.  Its first d + 1 values come by
+    Horner; past them, their forward differences at start are summed back
+    up by d chained itertools.accumulate (Knuth, TAOCP vol. 2, 4.6.4), so
+    each further value costs d additions at C speed."""
+    d = len(coeffs) - 1
+    weights = [c * b ** (d - i) for i, c in enumerate(coeffs)][::-1]
+    values = []
+    for a in range(start, start + min(length, d + 1)):
+        acc = 0
+        for c in weights:
+            acc = acc * a + c
+        values.append(acc)
+    if length <= d + 1:
+        return iter(values)
+    for k in range(1, d + 1):  # values[k] becomes the k-th difference at start
+        for j in range(d, k - 1, -1):
+            values[j] -= values[j - 1]
+    row = itertools.repeat(values.pop())
+    for first in reversed(values):
+        row = itertools.accumulate(row, initial=first)
+    return itertools.islice(row, length)
+
+
+def _rational_blocks(f: UniPoly, height: int, cap: int) -> Iterator[tuple]:
+    """The first cap points of rational_grid(height) as _first_collision
+    blocks, row by row and at most _BLOCK points each: a point a/b travels
+    as the int a*(height+1) + b.  A row is cut where the cap runs out, so
+    no row is built past it.
+
+    P = c*f is the primitive integer multiple of f, of degree d, so f(u) =
+    f(v) iff P(u) = P(v), and P(a/b) = N / b^d for N from _row_values.
+    Split b = b1*b2, b1 made of the primes of P's leading coefficient P_d
+    and b2 prime to P_d.  For a prime to b, N = P_d a^d (mod b2) is prime
+    to b2, so b2^d is the part of P(a/b)'s reduced denominator prime to
+    P_d: a function of the value, and its bucket.  Within the bucket the
+    value is keyed by N / b1^d in lowest terms: the int N // g when g =
+    gcd(N, b1^d) is b1^d, else the pair (N // g, b1^d // g).  Where b1 = 1,
+    which includes every b when P_d = 1, the keys are the ints N
+    themselves, taken lazily, and no gcd is taken."""
+    coeffs = _zx_from_rationals(f) or [0]
+    d, lead, scale, left = len(coeffs) - 1, coeffs[-1], height + 1, cap
+    for b, start, length, coprime in _grid_rows(height):
+        free = b
+        while (g := math.gcd(free, lead)) > 1:
+            free //= g
+        shared, bucket = (b // free) ** d, free ** d
+        nums = itertools.compress(_row_values(coeffs, b, start, length),
+                                  itertools.cycle(coprime))
+        points = itertools.compress(range(start * scale + b, (start + length) * scale + b, scale),
+                                    itertools.cycle(coprime))
+        while left and (block := list(itertools.islice(points, min(left, _BLOCK)))):
+            left -= len(block)
+            keys = itertools.islice(nums, len(block))
+            if shared > 1:
+                keys = [n // g if g == shared else (n // g, shared // g)
+                        for n in keys for g in (math.gcd(n, shared),)]
+            yield bucket, keys, block
+        if not left:
+            return
 
 
 def _search_spec(f) -> Rationals:
@@ -418,8 +506,8 @@ def search_rational_collisions(f: UniPoly, height: int,
     so a height past that bound raises before its size is sieved.
     """
     _search_spec(f)
-    w = _first_collision(f, itertools.islice(_grid_pairs(height), cap), _rational_image(f),
-                         lambda point: QQ.element(Fraction(*point)))
+    w = _first_collision(f, _rational_blocks(f, height, cap),
+                         lambda point: QQ.element(Fraction(*divmod(point, height + 1))))
     if w is None:
         least = 2 * height * height + 1
         size = f"at least {least}" if least > cap else _grid_size(height)
@@ -548,7 +636,7 @@ def search_matrix_collisions(f: UniPoly, n: int, height: int,
     _scan_size(_grid_size(height), n * n, cap, "candidate matrices", "; lower the height")
     points = itertools.product(list(_grid_pairs(height)), repeat=n * n)
     return _first_collision(
-        f, points, _rational_matrix_image(f, n),
+        f, _keyed_blocks(points, _rational_matrix_image(f, n)),
         lambda point: Matrix._from_values(spec, n, [Fraction(*p) for p in point]))
 
 
@@ -582,7 +670,8 @@ def search_tuple_collisions(f: MultiPoly, height: int,
         h += 1
     points = rational_grid(h)
     return _first_collision(
-        f, itertools.product(range(len(points)), repeat=f.m), _tuple_image(f, points),
+        f, _keyed_blocks(itertools.product(range(len(points)), repeat=f.m),
+                         _tuple_image(f, points)),
         lambda index: tuple(QQ.element(points[i]) for i in index)), h
 
 
@@ -610,21 +699,36 @@ def monotonicity_violation(f: UniPoly, height: int) -> tuple[Fraction, ...] | No
     """Rational u < v < w showing f is not monotone: strict rise and fall.
 
     Used to document a NecessaryConditionFails verdict when no exact
-    collision exists at the search height.
+    collision exists at the search height.  The grid is sorted by the int
+    a * (L // b) = L * a/b, L the lcm of 1..height; each value is
+    P(a/b) = N / b^d from _row_values, P = c*f the primitive integer
+    multiple of f, and neighbours are compared by cross-multiplication.
+    A negative c flips every sign but moves no sign change.  Only the
+    returned points become Fractions.
     """
     _search_spec(f)
-    points = sorted(rational_grid(height))
-    image = _rational_image(f)
-    values = [Fraction(*image((x.numerator, x.denominator))) for x in points]
+    coeffs = _zx_from_rationals(f) or [0]
+    d = len(coeffs) - 1
+    scale = math.lcm(*range(1, height + 1))
+    keys, nums, dens = [], [], []
+    for b, start, length, coprime in _grid_rows(height):
+        step = scale // b
+        keys += itertools.compress(range(start * step, (start + length) * step, step),
+                                   itertools.cycle(coprime))
+        nums += itertools.compress(_row_values(coeffs, b, start, length),
+                                   itertools.cycle(coprime))
+        dens += itertools.repeat(b ** d, len(keys) - len(dens))
+    keys, nums, dens = zip(*sorted(zip(keys, nums, dens)))
+    deltas = map(operator.sub, map(operator.mul, nums[1:], dens[:-1]),
+                 map(operator.mul, nums[:-1], dens[1:]))
     last_sign = 0
     last_start = 0
-    for i in range(len(values) - 1):
-        delta = values[i + 1] - values[i]
+    for i, delta in enumerate(deltas):
         sign = (delta > 0) - (delta < 0)
         if sign == 0:
             continue
         if last_sign != 0 and sign != last_sign:
-            return (points[last_start], points[i], points[i + 1])
+            return tuple(Fraction(keys[j], scale) for j in (last_start, i, i + 1))
         if sign != last_sign:
             last_sign = sign
             last_start = i
@@ -778,7 +882,8 @@ def permutation_check(f: UniPoly, cross_check_cap: int = DEFAULT_BOUNDS.scalar_c
     cross_check = hermite is None or spec.order <= cross_check_cap
     collision = None
     if cross_check or not hermite:
-        collision = _first_collision(f, spec.values(), _scalar_image(f), spec.element)
+        collision = _first_collision(f, _keyed_blocks(spec.values(), _scalar_image(f)),
+                                     spec.element)
         if hermite is not None and (collision is None) != hermite:
             raise InconsistentMethodsError(
                 f"Hermite's test says {hermite}, exhaustive scan says "
@@ -1055,8 +1160,8 @@ def multivariate_injectivity(f: MultiPoly, spec: FieldSpec | None = None,
         q = spec.order
         total = _scan_size(q, f.m, bounds.matrix_cap, "points")
         values = list(spec.values())
-        w = _first_collision(f, itertools.product(values, repeat=f.m),
-                             _multi_image(f),
+        w = _first_collision(f, _keyed_blocks(itertools.product(values, repeat=f.m),
+                                              _multi_image(f)),
                              lambda point: tuple(map(spec.element, point)))
         if w is None:
             raise InternalInvariantError("no collision in a full scan of F^m")
@@ -1109,7 +1214,7 @@ def brute_force_scalar(f: UniPoly, bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     if spec.order > bounds.scalar_cap:
         raise EnumerationCapExceededError(
             f"q = {spec.order} exceeds the scalar cap {bounds.scalar_cap}")
-    w = _first_collision(f, spec.values(), _scalar_image(f), spec.element)
+    w = _first_collision(f, _keyed_blocks(spec.values(), _scalar_image(f)), spec.element)
     return _exhaustive_verdict(w, spec.order)
 
 
@@ -1168,7 +1273,8 @@ def brute_force_matrix(f: UniPoly, n: int, spec: FieldSpec | None = None,
                        bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     """Exhaustive matrix oracle over a finite field: scan all of M_n(F_q)."""
     total, matrices, image, box = _oracle_matrices(f, n, spec, bounds)
-    return _exhaustive_verdict(_first_collision(f, matrices, image, box), total)
+    return _exhaustive_verdict(_first_collision(f, _keyed_blocks(matrices, image), box),
+                               total)
 
 
 def brute_force_zero_fiber(f: UniPoly, n: int, spec: FieldSpec | None = None,

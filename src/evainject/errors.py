@@ -79,6 +79,11 @@ class EnumerationCapExceededError(AlgebraError):
     """Exhaustive scan would exceed the configured enumeration cap."""
 
 
+class ValueTooLongError(AlgebraError):
+    """A rational value has more digits than Python's int-to-string limit
+    lets it print."""
+
+
 class ParseError(AlgebraError):
     """Input text rejected; carries the offending position (0-based)."""
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +49,7 @@ from .errors import (
     InvalidFieldError,
     SpecMismatchError,
     SymbolicFieldError,
+    ValueTooLongError,
 )
 
 PRIME_CAP = 2 ** 31
@@ -549,7 +551,14 @@ class Rationals(FieldSpec):
         return a
 
     def _format(self, a) -> str:
-        return str(a)
+        """str(a); past Python's int-to-string digit limit, which this
+        leaves as it is, a ValueTooLongError (exit 64 in the CLI)."""
+        try:
+            return str(a)
+        except ValueError:
+            raise ValueTooLongError(
+                f"a rational value has more than {sys.get_int_max_str_digits()} digits, "
+                "the int-to-string limit, and cannot be printed") from None
 
     def __repr__(self):
         return "Q"

@@ -15,7 +15,7 @@ from evainject.cli import (
     parse_poly,
     report_schema,
 )
-from evainject.errors import ParseError
+from evainject.errors import ParseError, ValueTooLongError
 
 F5 = PrimeField(5)
 
@@ -166,6 +166,17 @@ def test_cli_scalar_search_refuses_after_cap_points(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_cli_scalar_search_cuts_a_row_longer_than_the_cap(capsys):
+    # the grid's first row alone has 2 * 10^7 + 1 points; the scan builds
+    # only the first --matrix-cap of them, so it refuses at once
+    argv = ["search", "--poly", "x^3", "--field", "Q", "--height", "10000000",
+            "--matrix-cap", "100000"]
+    code, out, err = _main_within(capsys, argv, "the search did not refuse within 2 s")
+    assert code == 64 and out == ""
+    assert "at least 200000000000001 grid points exceed the cap 100000" in err
+    assert "Traceback" not in err
+
+
 HUGE_SCANS = [
     ["bruteforce", "--poly", "x", "--field", "F2", "--n", "200"],
     ["search", "--poly", "x", "--field", "Q", "--n", "100", "--height", "2"],
@@ -209,6 +220,20 @@ def test_cli_refuses_a_rational_too_long_to_print(capsys):
         assert code == 64 and out == ""
         assert "digits, the int-to-string limit" in err and "Traceback" not in err
     assert parse_poly("3^8000+x", QQ).constant_term == QQ.element(3 ** 8000)
+
+
+def test_cli_refuses_an_image_too_long_to_print(capsys):
+    # each point of the pair prints, but f(N) = N^4 has about 4,800 digits,
+    # past Python's int-to-string limit: refused before anything is printed
+    n = "7" * 1200
+    code, out, err = _run(capsys, ["verify", "--poly", "x^4", "--field", "Q",
+                                   "--lhs", n, "--rhs", "-" + n])
+    assert code == 64 and out == ""
+    assert err.startswith("error: a rational value has more than")
+    assert "digits, the int-to-string limit" in err and "Traceback" not in err
+    with pytest.raises(ValueTooLongError):
+        str(QQ.element(int(n) ** 4))
+    assert str(QQ.element(Fraction(1, int(n)))) == "1/" + n
 
 
 NESTED_TOO_DEEPLY = [
