@@ -71,7 +71,10 @@ from .fields import (
     FieldSpec,
     Rationals,
     RealClosedTag,
+    _poly_fold,
     _power,
+    _prime_divisors,
+    prime_power,
 )
 from .matrices import (
     Matrix,
@@ -91,7 +94,7 @@ from .polynomials import (
     rational_roots,
     zero_multiplicity,
 )
-from .polynomials.factor import _zx_from_rationals
+from .polynomials.factor import _fq_roots, _zx_from_rationals
 
 __all__ = [
     "Bounds",
@@ -752,18 +755,6 @@ def _check_pairing(f, spec: FieldSpec):
             "symbolic tags take rational coefficients")
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, by trial division."""
-    primes, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return primes + [n] if n > 1 else primes
-
-
 def _generator_powers(spec: FieldSpec) -> list:
     """[g^0, g^1, ..., g^(q-2)] as canonical values, for g the first value
     in index order that generates F_q^*: g^((q-1)/r) != 1 for every prime r
@@ -785,10 +776,10 @@ def _hermite_is_permutation(f: UniPoly, cap: int = DEFAULT_BOUNDS.matrix_cap) ->
     f permutes F_q iff it has exactly one root in F_q and, for every t
     with 1 <= t <= q - 2 not divisible by the characteristic p, the
     reduction of f^t modulo x^q - x has no x^(q-1) term.  That coefficient
-    is -S_t, S_t the sum of f(c)^t over c in F_q.  Folding each exponent
-    e >= q of f to (e-1) mod (q-1) + 1 keeps f's values; after it, f^t has
-    degree at most q - 2 while t * deg f <= q - 2, so S_t = 0 there and t
-    starts at ceil((q-1) / deg f).
+    is -S_t, S_t the sum of f(c)^t over c in F_q.  fields._poly_fold folds
+    each exponent e >= q of f to (e-1) mod (q-1) + 1, which keeps f's
+    values; after it, f^t has degree at most q - 2 while t * deg f <= q - 2,
+    so S_t = 0 there and t starts at ceil((q-1) / deg f).
 
     The values come from a table of the powers of a generator g of F_q^*,
     built through the spec's hooks, and its inverse, the discrete log:
@@ -796,7 +787,8 @@ def _hermite_is_permutation(f: UniPoly, cap: int = DEFAULT_BOUNDS.matrix_cap) ->
     base-p digits are packed into k slots of w bits with 2^w > q(p-1), so
     one int sum of at most q packed values adds slot by slot and is
     reduced mod p once.  This evaluator shares no code with _scalar_image,
-    the cross-check scan's.
+    the cross-check scan's, which runs Horner on f itself and never on the
+    fold, so a fold bug cannot make the two agree on a wrong answer.
 
     Bounded work: the test sums q - 1 terms per nonzero non-constant
     coefficient of the folded f to evaluate it, and q - 1 per S_t.  When
@@ -804,24 +796,17 @@ def _hermite_is_permutation(f: UniPoly, cap: int = DEFAULT_BOUNDS.matrix_cap) ->
     the caller decides by the O(q) scan instead.
     """
     spec = f.spec
-    q, p = spec.order, spec.characteristic
-    m, add, zero = q - 1, spec._add, spec.zero().value
-    folded = {}
-    for e, c in enumerate(f.values):
-        if c != zero:
-            e = e and (e - 1) % m + 1
-            folded[e] = add(folded.get(e, zero), c)
-    constant = spec._sort_key(folded.pop(0, zero))
-    folded = {e: c for e, c in folded.items() if c != zero}
-    if not folded:
+    q, (p, k) = spec.order, prime_power(spec.order)
+    m, zero = q - 1, spec.zero().value
+    folded = _poly_fold(spec, f.values)
+    terms = [(e, c) for e, c in enumerate(folded) if e and c != zero]
+    if not terms:
         return False  # a constant; q >= 2
-    t0 = -(-m // max(folded))
+    constant = spec._sort_key(folded[0])
+    t0 = -(-m // terms[-1][0])
     sums = (m - t0) - ((m - 1) // p - (t0 - 1) // p)  # t in [t0, q - 2], p not dividing t
-    if m * (len(folded) + sums) > cap:
+    if m * (len(terms) + sums) > cap:
         return None
-    k = 1
-    while p ** k < q:
-        k += 1
     w = (q * (p - 1)).bit_length()
     mask, slots = (1 << w) - 1, [(i * w, p ** i) for i in range(k)]
 
@@ -841,7 +826,7 @@ def _hermite_is_permutation(f: UniPoly, cap: int = DEFAULT_BOUNDS.matrix_cap) ->
     for j, i in enumerate(map(spec._sort_key, _generator_powers(spec))):
         log[i] = j
         powers.append(pack(i))
-    terms = [(e, log[spec._sort_key(c)]) for e, c in folded.items()]
+    terms = [(e, log[spec._sort_key(c)]) for e, c in terms]
     base = pack(constant)
     roots, logs = (0, [log[constant]]) if constant else (1, [])
     for j in range(m):  # f(g^j)
@@ -906,9 +891,10 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     """Check that f - t has only simple roots in F for every t.
 
     A root b of f' in F violates the condition with t = f(b), since b then
-    has multiplicity at least 2 in f - f(b).  Finite fields are scanned;
-    over Q, b is the least rational root of f' (rational_roots, p-adic).
-    When f' vanishes identically (char p), the condition fails degenerately.
+    has multiplicity at least 2 in f - f(b).  b is the least root of f':
+    over F_q the first in scan order from gcd(f', x^q - x) (factor._fq_roots,
+    no scan of F_q); over Q the least of rational_roots (p-adic).  When f'
+    vanishes identically (char p), b = 0 and the condition fails degenerately.
     The multiplicity of b in f - f(b) is the order at 0 of (f - f(b))(x + b).
     """
     spec = spec or f.spec
@@ -919,14 +905,8 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     if f.degree < 1:
         raise ConstantPolynomialError("simple-roots check needs degree >= 1")
     fp = f.derivative()
-    if fp.is_zero():
-        b = spec.zero()
-    elif spec.is_finite:
-        image, zero = _scalar_image(fp), spec.zero().value
-        b = next((spec.element(v) for v in spec.values() if image(v) == zero), None)
-    else:
-        roots = rational_roots(fp)
-        b = spec.element(roots[0]) if roots else None
+    roots = _fq_roots(spec, fp.values) if spec.is_finite else rational_roots(fp)
+    b = next((spec.element(r) for r in roots), None)
     if b is None:
         return SimpleRootsReport(True)
     lam = f.eval(b)

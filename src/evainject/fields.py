@@ -21,8 +21,9 @@ bit-exactly.  There is no floating point anywhere in this package.
 The dense F[x] kernel (the _poly_* functions) works on lists of canonical
 values through a spec's hooks, one kernel for every field above:
 arithmetic, long division, gcds and modular powers, the formal derivative,
-distinct-degree splitting (which also decides whether an extension
-modulus is irreducible) and the printer of polynomials in x.
+the fold modulo x^q - x, distinct-degree splitting (which also decides
+whether an extension modulus is irreducible) and the printer of
+polynomials in x.
 
 ACF and RCF are verdict-only tags for the algebraically closed and real
 closed cases: they drive engine dispatch but never carry elements, and any
@@ -55,20 +56,24 @@ from .errors import (
 PRIME_CAP = 2 ** 31
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, capped at desk scale (n < 2^31)."""
-    if n < 2:
-        return False
-    if n >= PRIME_CAP:
-        raise InvalidFieldError(f"characteristic {n} exceeds the 2^31 cap")
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _prime_divisors(n: int) -> Iterator[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            yield d
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test, capped at desk scale (n < 2^31)."""
+    if n >= PRIME_CAP:
+        raise InvalidFieldError(f"characteristic {n} exceeds the 2^31 cap")
+    return n > 1 and next(_prime_divisors(n)) == n
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
@@ -95,8 +100,9 @@ def prime_power(q: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # Dense F[x] arithmetic on lists of canonical values (ascending degree,
 # trimmed) through a spec's _add/_neg/_mul/_inv hooks: one kernel for F_p
-# (plain int lists), F_{p^k} and Q.  ExtensionField, factoring
-# (polynomials/factor.py), UniPoly and MultiPoly's printing run on it.
+# (plain int lists), F_{p^k} and Q.  ExtensionField, factoring and root
+# finding (polynomials/factor.py), UniPoly and MultiPoly's printing run on
+# it; _poly_fold is the one reduction modulo x^q - x.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: list, zero) -> list:
@@ -182,6 +188,17 @@ def _poly_derivative(spec: FieldSpec, a: Sequence) -> list:
     for c in a[1:]:
         i = add(i, one)     # the integer i as a field value
         out.append(mul(i, c))
+    return _poly_trim(out, zero)
+
+
+def _poly_fold(spec: FieldSpec, a: Sequence) -> list:
+    """a modulo x^q - x over F_q, dense and trimmed: each exponent e >= q
+    folds to (e-1) mod (q-1) + 1, which keeps every value of a on F_q."""
+    q, zero, out = spec.order, spec.zero().value, list(a[:spec.order])
+    for e in range(q, len(a)):
+        if a[e] != zero:
+            i = (e - 1) % (q - 1) + 1
+            out[i] = spec._add(out[i], a[e])
     return _poly_trim(out, zero)
 
 

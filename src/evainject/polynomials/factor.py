@@ -11,7 +11,8 @@ derivative vanishes), then distinct-degree splitting
 (fields._poly_distinct_degree, also the extension-modulus irreducibility
 test), then equal-degree splitting (Cantor-Zassenhaus) seeded by a private
 constant.  The factor list is sorted into a canonical order, so the output
-does not depend on the random path at all.
+does not depend on the random path at all.  _fq_roots, the one root
+finder on F_q (simpleroots, rational_roots mod p), splits gcd(f, x^q - x).
 
 Rationals: everything runs on primitive integer polynomials (the _zx_*
 functions): one long division, gcds by primitive remainder sequences on it,
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import (
     CoefficientCapExceededError,
@@ -55,6 +56,7 @@ from ..fields import (
     _poly_derivative,
     _poly_distinct_degree,
     _poly_divmod,
+    _poly_fold,
     _poly_gcd,
     _poly_monic,
     _poly_mul,
@@ -139,6 +141,20 @@ def _fq_equal_degree(spec: FieldSpec, f: list, d: int, rng: Random) -> list[list
                     + _fq_equal_degree(spec, _poly_divmod(spec, f, g)[0], d, rng))
 
 
+def _fq_roots(spec: FieldSpec, f: Sequence) -> Iterable:
+    """The distinct roots in F_q of the value list f in scan order (by
+    spec._sort_key): lazily every element when f folds to 0 modulo x^q - x,
+    else the linear factors of gcd(fold, x^q - x) by _fq_equal_degree."""
+    g, zero, one = _poly_fold(spec, f), spec.zero().value, spec.one().value
+    if not g:
+        return map(spec._value_from_index, range(spec.order))
+    if len(g) > 1:
+        x_q = _poly_powmod(spec, [zero, one], spec.order, g)
+        g = _poly_gcd(spec, g, _poly_add(spec, x_q, [zero, spec._neg(one)]))
+    linear = _fq_equal_degree(spec, g, 1, Random(_SPLIT_SEED)) if len(g) > 1 else []
+    return sorted((spec._neg(u[0]) for u in linear), key=spec._sort_key)
+
+
 def _fq_factor(spec: FieldSpec, f: list) -> list[tuple[tuple, int]]:
     """Monic f of degree >= 1 over F_q -> its (monic irreducible, multiplicity)
     pairs as value tuples, sorted by degree, then by coefficient sort keys."""
@@ -173,10 +189,6 @@ def factor_finite(f: UniPoly):
 # ---------------------------------------------------------------------------
 # Rationals: integer-polynomial helpers (ascending int lists)
 # ---------------------------------------------------------------------------
-
-def _zx_deg(a: Sequence[int]) -> int:
-    return len(a) - 1
-
 
 def _zx_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
@@ -402,7 +414,7 @@ def _good_prime(s: list[int], limit: int) -> int | None:
 
 def _zassenhaus(s: list[int]) -> list[list[int]]:
     """Irreducible primitive factors of a primitive squarefree s, deg >= 1."""
-    n = _zx_deg(s)
+    n = len(s) - 1
     if n == 1:
         return [s]
     p = _good_prime(s, 100_000)
@@ -443,13 +455,9 @@ def _zassenhaus(s: list[int]) -> list[list[int]]:
                 break
         if not found:
             size += 1
-    if _zx_deg(cur) >= 1:
+    if len(cur) > 1:
         out.append(_zx_primitive(cur))
     return out
-
-
-def _sorted_factors(factors: dict[UniPoly, int]) -> tuple[tuple[UniPoly, int], ...]:
-    return tuple(sorted(factors.items(), key=lambda item: item[0].sort_key()))
 
 
 def factor_rationals(f: UniPoly):
@@ -473,7 +481,7 @@ def factor_rationals(f: UniPoly):
         for g in _zassenhaus(part):
             monic = _zx_to_monic(g)
             collected[monic] = collected.get(monic, 0) + mult
-    return f.leading, _sorted_factors(collected)
+    return f.leading, tuple(sorted(collected.items(), key=lambda item: item[0].sort_key()))
 
 
 def rational_roots(f: UniPoly) -> list[Fraction]:
@@ -499,14 +507,9 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
         p = _good_prime(s, 100_000)
         if p is None:
             raise InternalInvariantError("no usable prime below 100000")
-    spec = PrimeField(p)
-    smod = _poly_monic(spec, [c % p for c in s])
-    g = _poly_gcd(spec, smod, _poly_add(spec, _poly_powmod(spec, [0, 1], p, smod), [0, p - 1]))
-    if len(g) == 1:
-        return roots
     lc = s[-1]
-    for u in _fq_equal_degree(spec, g, 1, Random(_SPLIT_SEED)):
-        r, pk = -u[0], p
+    for r in _fq_roots(PrimeField(p), [c % p for c in s]):
+        pk = p
         while pk <= 2 * abs(s[0] * lc):
             pk *= pk    # Newton's step, with s(r) and s'(r) by one Horner pass
             v = dv = 0

@@ -127,6 +127,22 @@ def test_cli_answers_huge_constant_terms_promptly(capsys, argv, exit_code, statu
     assert (code, verdict["status"], verdict["reason"]) == (exit_code, status, reason)
 
 
+def test_cli_simple_roots_over_a_huge_prime_field_promptly(capsys):
+    # the root of f' = 3x^2 + 1 comes from gcd(f', x^p - x), not from a scan
+    # of the 2^31 - 1 elements
+    p = 2 ** 31 - 1
+    argv = ["simpleroots", "--poly", "x^3+x", "--field", f"F{p}", "--output", "json"]
+    code, out, _ = _main_within(capsys, argv, "simpleroots did not answer within 2 s")
+    report = json.loads(out)
+    assert (code, report["verdict"]["status"]) == (2, "NecessaryConditionFails")
+    extra = report["extra"]
+    assert (extra["b"], extra["lambda"], extra["multiplicity"]) == \
+        ("1008985157", "2104312536", 2)
+    b = int(extra["b"])
+    assert (3 * b * b + 1) % p == 0 and b < p - b   # the lesser root of f'
+    assert (b ** 3 + b) % p == int(extra["lambda"])
+
+
 def test_cli_matrix_search_refuses_a_huge_height_promptly(capsys):
     # the height-100000 grid size comes from a totient sieve, not from
     # counting gcds up to the height squared, so the cap refuses at once

@@ -15,11 +15,16 @@ The rest of the Q[x] path is compared with sympy on seeded products of
 repeated rational factors up to degree 20: the Z[x] gcd and squarefree part
 with sympy's gcd and sqf_part over ZZ, Sturm counts with count_roots, and
 the monotonicity test with the odd-multiplicity parts of sqf_list.
+The roots in F_q (factor._fq_roots) must be those a plain enumeration of
+F_q finds by boxed Horner, in the same order, over every F_p with p <= 61,
+every built-in F_{p^k} and two explicit moduli, on seeded polynomials up to
+degree 2q: repeated roots, constants, zero and multiples of x^q - x.
 """
 import random
 import time
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,13 +42,15 @@ from evainject import (
     sturm_real_roots,
 )
 from evainject.cli import parse_field, parse_poly
+from evainject.fields import BUILTIN_MODULI
 from evainject.polynomials.factor import (
+    _fq_roots,
     _good_prime,
     _zx_from_rationals,
     _zx_gcd,
     _zx_squarefree_part,
 )
-from oracles import divisor_rational_roots
+from oracles import boxed_uni_eval, divisor_rational_roots, field_elements
 
 BOUNDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 X = sympy.Symbol("x")
@@ -233,6 +240,35 @@ def test_rational_roots_of_degree_200_are_prompt():
     roots = rational_roots(f)
     assert time.perf_counter() - start < 1.0
     assert roots == [Fraction(-10 ** 20, 3), Fraction(5, 7), Fraction(3)]
+
+
+ROOT_FIELDS = ([PrimeField(p) for p in range(2, 62) if sympy.isprime(p)]
+               + [ExtensionField(p, m) for (p, _), m in sorted(BUILTIN_MODULI.items())]
+               + [parse_field("F8:modulus=x^3+x^2+1"), parse_field("F25:modulus=x^2+x+2")])
+
+
+@pytest.mark.parametrize("spec", ROOT_FIELDS, ids=str)
+def test_fq_roots_match_a_plain_enumeration(spec):
+    q, rng = spec.order, random.Random(str(spec))
+    elements = field_elements(spec)
+
+    def draw(degree):
+        return UniPoly(spec, [rng.choice(elements) for _ in range(degree)]
+                       + [rng.choice(elements[1:])])
+
+    x_q_minus_x = UniPoly.x(spec) ** q - UniPoly.x(spec)
+    cases = [draw(rng.randrange(2 * q + 1)) for _ in range(3)]
+    cases.append(draw(0))                                    # a nonzero constant
+    cases.append(UniPoly.zero(spec))                         # every element is a root
+    cases.append(x_q_minus_x * draw(rng.randrange(q + 1)))   # folds to zero
+    for _ in range(2):                                       # repeated roots
+        f = draw(rng.randrange(3))
+        for r in rng.sample(elements, min(3, q)):
+            f = f * UniPoly(spec, [-r, spec.one()]) ** rng.randint(1, 3)
+        cases.append(f)
+    for f in cases:
+        expected = [c.value for c in elements if boxed_uni_eval(f, c).is_zero()]
+        assert list(_fq_roots(spec, f.values)) == expected, f
 
 
 def _repeated_factors(rng, max_degree=20):

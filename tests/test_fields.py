@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from evainject import (
     ACF,
@@ -24,7 +25,15 @@ from evainject.errors import (
     SpecMismatchError,
     SymbolicFieldError,
 )
-from evainject.fields import BUILTIN_MODULI, _poly_add, _poly_mul, _poly_trim, prime_power
+from evainject.fields import (
+    BUILTIN_MODULI,
+    _poly_add,
+    _poly_mul,
+    _poly_trim,
+    _prime_divisors,
+    is_prime,
+    prime_power,
+)
 from oracles import iroot_prime_power
 
 F2 = PrimeField(2)
@@ -309,3 +318,23 @@ def test_prime_power_matches_the_integer_root_reference():
     assert prime_power(2147483629 ** 400) == (2147483629, 400)
     with pytest.raises(InvalidFieldError, match="exceeds the 2\\^31 cap"):
         prime_power(int("9" * 4000))
+
+
+def test_prime_divisors_match_sympy():
+    # every n up to 5,000, then n just below 2^31: 2^31 - 1 and 2^31 - 19
+    # (primes), their neighbours, and 46,337^2 (the largest prime square there)
+    near = [2 ** 31 - 1 + d for d in range(-3, 1)] + [2 ** 31 - 19, 46337 ** 2, 2 ** 31 - 2]
+    for n in list(range(1, 5001)) + near:
+        assert list(_prime_divisors(n)) == sympy.primefactors(n), n
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10 ** 4
+    sieve = [False, False] + [True] * (limit - 1)
+    for k in range(2, math.isqrt(limit) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(sieve[k * k::k])
+    assert [is_prime(n) for n in range(limit + 1)] == sieve
+    assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 - 3)
+    with pytest.raises(InvalidFieldError, match="characteristic 2147483648 exceeds the 2\\^31 cap"):
+        is_prime(2 ** 31)

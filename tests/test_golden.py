@@ -161,6 +161,12 @@ CASES = [
     ["permcheck", "--poly", "x^3", "--field", "F2003"],
     # a rational coefficient past the int-to-string limit: a parse error, exit 64
     ["analyze", "--poly=3^10000+x", "--field=Q"],
+    # simpleroots over F_q by gcd(f', x^q - x): f' = x^5 - x vanishes on F5 (every
+    # element a root), and an f' of degree 10 >= 9 with the two roots x, 2x in F9
+    ["simpleroots", "--poly", "x^6-3*x^2", "--field", "F5"],
+    ["simpleroots", "--poly", "2*x^11+x", "--field", "F9"],
+    # ... and over F_(2^31 - 1), far past any scan of the field for a root of f'
+    ["simpleroots", "--poly", "x^3+x", "--field", "F2147483647"],
 ]
 
 

@@ -8,22 +8,24 @@ every field the results must satisfy a = q*b + r with deg r < deg b, and
 s*a + t*b = g with g monic and dividing both.  Distinct-degree splitting,
 which decides whether an extension modulus is irreducible, must agree with
 sympy's irreducibility test on every monic polynomial of small degree over
-small primes.
+small primes.  The fold modulo x^q - x must keep every value on F_q.
 """
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import boxed_divmod, boxed_gcd, boxed_mul, boxed_xgcd
+from oracles import boxed_divmod, boxed_gcd, boxed_mul, boxed_uni_eval, boxed_xgcd, field_elements
 
 from evainject import QQ, ExtensionField, FieldElement, PrimeField, UniPoly
 from evainject.errors import InvalidFieldError
 from evainject.fields import (
     _poly_distinct_degree,
     _poly_divmod,
+    _poly_fold,
     _poly_gcd,
     _poly_powmod,
     _poly_trim,
@@ -140,3 +142,19 @@ def test_distinct_degree_irreducibility_matches_sympy_on_every_small_monic(p, de
             else:
                 with pytest.raises(InvalidFieldError):
                     ExtensionField(p, m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 13, 16, 25, 27])
+def test_fold_keeps_every_value_on_the_field(q):
+    spec = PrimeField(q) if q in (2, 3, 5, 13) else ExtensionField.from_order(q)
+    rng = random.Random(q)
+    for _ in range(8):
+        degree = rng.randrange(3 * q)
+        values = [spec._value_from_index(rng.randrange(q)) for _ in range(degree)]
+        values.append(spec._value_from_index(rng.randrange(1, q)))
+        folded = _poly_fold(spec, values)
+        assert len(folded) <= q and folded == _poly_trim(list(folded), spec.zero().value)
+        if degree < q:
+            assert folded == values
+        f, g = _poly(spec, values), _poly(spec, folded)
+        assert all(boxed_uni_eval(f, c) == boxed_uni_eval(g, c) for c in field_elements(spec))

@@ -36,8 +36,8 @@ from evainject import (
     search_rational_collisions,
     search_tuple_collisions,
 )
-from evainject.cli import main
-from evainject.engine import permutation_verdict
+from evainject.cli import main, parse_field, parse_poly
+from evainject.engine import permutation_verdict, simple_roots_condition
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 F4, F8, F9 = (ExtensionField.from_order(q) for q in (4, 8, 9))
@@ -236,6 +236,9 @@ SIMPLE_ROOTS_PINS = [
     ("x^4+3*x^2+x", "F11", "1", "5", 2),
     ("x^3+x^2+x", "F8", "1", "1", 3),
     ("x^3+3*x", "F49", "x", "2*x", 2),
+    ("x^6-3*x^2", "F5", "0", "0", 2),
+    ("2*x^11+x", "F9", "x", "2*x", 2),
+    ("x^3", "F3", "0", "0", 3),
 ]
 
 
@@ -243,3 +246,18 @@ SIMPLE_ROOTS_PINS = [
 def test_simple_roots_violating_b_is_pinned(capsys, poly, field, b, lam, k):
     extra = _report(capsys, ["simpleroots", "--poly", poly, "--field", field])["extra"]
     assert (extra["b"], extra["lambda"], extra["multiplicity"]) == (b, lam, k)
+
+
+@pytest.mark.parametrize("poly, field, b, lam, k", SIMPLE_ROOTS_PINS)
+def test_simple_roots_find_b_without_listing_the_field(monkeypatch, poly, field, b, lam, k):
+    # the first root of f' comes from gcd(f', x^q - x), so the same b is
+    # found with the enumeration of F_q out of reach
+    spec = parse_field(field)
+    f = parse_poly(poly, spec)
+
+    def refuse(self):
+        raise AssertionError(f"the elements of {self} were listed")
+    monkeypatch.setattr(PrimeField, "values", refuse)
+    monkeypatch.setattr(ExtensionField, "values", refuse)
+    report = simple_roots_condition(f)
+    assert (str(report.violating_b), str(report.lam), report.multiplicity_k) == (b, lam, k)
