@@ -71,7 +71,9 @@ from .fields import (
     FieldSpec,
     Rationals,
     RealClosedTag,
+    _poly_add,
     _poly_fold,
+    _poly_root_order,
     _power,
     _prime_divisors,
     prime_power,
@@ -92,7 +94,6 @@ from .polynomials import (
     factor_profile,
     is_strictly_monotone,
     rational_roots,
-    zero_multiplicity,
 )
 from .polynomials.factor import _fq_roots, _zx_from_rationals
 
@@ -895,7 +896,7 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     over F_q the first in scan order from gcd(f', x^q - x) (factor._fq_roots,
     no scan of F_q); over Q the least of rational_roots (p-adic).  When f'
     vanishes identically (char p), b = 0 and the condition fails degenerately.
-    The multiplicity of b in f - f(b) is the order at 0 of (f - f(b))(x + b).
+    Its multiplicity k in f - f(b) comes from fields._poly_root_order.
     """
     spec = spec or f.spec
     if spec.is_symbolic:
@@ -910,7 +911,7 @@ def simple_roots_condition(f: UniPoly, spec: FieldSpec | None = None) -> SimpleR
     if b is None:
         return SimpleRootsReport(True)
     lam = f.eval(b)
-    k = zero_multiplicity((f - UniPoly.constant(spec, lam)).compose_shift(b))[0]
+    k = _poly_root_order(spec, _poly_add(spec, f.values, [spec._neg(lam.value)]), b.value)
     return SimpleRootsReport(False, b, lam, k, char_p_degenerate=fp.is_zero())
 
 
@@ -932,13 +933,12 @@ def simple_roots_verdict(f: UniPoly, spec: FieldSpec | None = None) -> Verdict:
 
 
 def _pure_power_center(f: UniPoly) -> FieldElement | None:
-    """b with f = lc * (x - b)^deg + f(b), if f is a shifted pure power."""
-    d, zero = f.degree, f.spec.zero().value
-    b = -(f.coeff(d - 1) / (d * f.leading))
-    shifted = f.compose_shift(b)
-    if all(v == zero for v in shifted.values[1:d]):
-        return b
-    return None
+    """b with f = lc * (x - b)^deg + f(b), if f over Q is a shifted pure
+    power: b = -c_(deg-1) / (deg * lc) is then a root of order deg of f - f(b)."""
+    spec, a, d = f.spec, f.values, f.degree
+    b = spec.element(-a[d - 1] / (d * a[d]))
+    g = _poly_add(spec, a, [-f.eval(b).value])
+    return b if _poly_root_order(spec, g, b.value) == d else None
 
 
 def scalar_injectivity(f: UniPoly, spec: FieldSpec | None = None,

@@ -20,10 +20,10 @@ bit-exactly.  There is no floating point anywhere in this package.
 
 The dense F[x] kernel (the _poly_* functions) works on lists of canonical
 values through a spec's hooks, one kernel for every field above:
-arithmetic, long division, gcds and modular powers, the formal derivative,
-the fold modulo x^q - x, distinct-degree splitting (which also decides
-whether an extension modulus is irreducible) and the printer of
-polynomials in x.
+arithmetic, long division and root orders, gcds and modular powers, the
+formal derivative, the fold modulo x^q - x, distinct-degree splitting
+(which also decides whether an extension modulus is irreducible) and the
+printer of polynomials in x.
 
 ACF and RCF are verdict-only tags for the algebraically closed and real
 closed cases: they drive engine dispatch but never carry elements, and any
@@ -147,6 +147,16 @@ def _poly_divmod(spec: FieldSpec, a: Sequence, b: Sequence) -> tuple[list, list]
             r[shift + i] = add(r[shift + i], mul(c, b[i]))
         _poly_trim(r, zero)
     return q, r
+
+
+def _poly_root_order(spec: FieldSpec, a: Sequence, b) -> int:
+    """The multiplicity of the value b as a root of the nonzero value list a:
+    divide by the monic x - b until a remainder is nonzero, O(k deg a)."""
+    x_minus_b = [spec._neg(b), spec.one().value]
+    for k in itertools.count():
+        a, r = _poly_divmod(spec, a, x_minus_b)
+        if r:
+            return k
 
 
 def _poly_monic(spec: FieldSpec, a: Sequence) -> list:

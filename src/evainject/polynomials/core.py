@@ -210,15 +210,6 @@ class UniPoly(_Frozen):
         """Formal derivative; characteristic-p cancellation applies."""
         return UniPoly._from_values(self.spec, _poly_derivative(self.spec, self.values))
 
-    def compose_shift(self, b: FieldElement) -> "UniPoly":
-        """Return f(x + b), by Horner on coefficient values."""
-        spec = self.spec
-        x_plus_b = [_value_in(spec, b, "shift"), spec.one().value]
-        acc = []
-        for c in reversed(self.values):
-            acc = _poly_add(spec, _poly_mul(spec, acc, x_plus_b), [c])
-        return UniPoly._from_values(spec, acc)
-
     # -- comparison and printing ----------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

@@ -16,8 +16,8 @@ finder on F_q (simpleroots, rational_roots mod p), splits gcd(f, x^q - x).
 
 Rationals: everything runs on primitive integer polynomials (the _zx_*
 functions): one long division, gcds by primitive remainder sequences on it,
-the squarefree part s / gcd(s, s') and Yun's decomposition, which sturm.py
-uses too.  Each of Yun's parts is factored by lift and recombine:
+the squarefree part s / gcd(s, s') and Yun's decomposition, all of which
+sturm.py uses too.  Each of Yun's parts is factored by lift and recombine:
 factor modulo a good prime with the finite-field path, Hensel-lift the
 factors to a power of that prime exceeding twice the coefficient bound, and
 search factor subsets with trial division in Z[x].  Degree is capped at 16

@@ -8,16 +8,17 @@ injectivity comes from complete image scans, and polynomial products,
 long division, Euclid and extended Euclid, matrix products and the
 evaluation of polynomials at scalars, points, matrices and x + b run on
 boxed FieldElements (the library runs them on canonical values:
-fields._poly_*, matrices._product, UniPoly.eval, UniPoly.compose_shift and
-MultiPoly.eval).  Each read of coeffs or entries boxes the whole container,
+fields._poly_*, matrices._product, UniPoly.eval and MultiPoly.eval).  Each read of coeffs or entries boxes the whole container,
 so the oracles read each container once per call.  elements_built counts
 the FieldElements a call builds, for the tests that keep work on values.
 Permutations of F_q come from Hermite's criterion by degree reduction of
 sparse powers of f (the library reads the same coefficients as power sums
 from a discrete-log table).  Rational roots come from the divisor test and
 prime powers from exact integer k-th roots (the library lifts roots modulo
-a prime and takes rounded float roots).  A root's multiplicity comes from repeated boxed
-division by x - b (the library counts the zeros of f(x + b) at 0).
+a prime and takes rounded float roots).  A root's multiplicity comes from
+repeated boxed division by x - b, and independently from the order at 0 of
+the boxed Taylor shift f(x + b) (the library divides by x - b on values,
+fields._poly_root_order).
 """
 from __future__ import annotations
 

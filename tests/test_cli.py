@@ -143,6 +143,15 @@ def test_cli_simple_roots_over_a_huge_prime_field_promptly(capsys):
     assert (b ** 3 + b) % p == int(extra["lambda"])
 
 
+def test_cli_simple_roots_multiplicity_of_a_high_degree_promptly(capsys):
+    # the multiplicity of b = 0 in f - f(0) comes from dividing by x - b
+    # until a remainder is nonzero, not from the Taylor shift f(x + b)
+    argv = ["simpleroots", "--poly", "x^16000+x^2", "--field", "F7", "--output", "json"]
+    code, out, _ = _main_within(capsys, argv, "simpleroots did not answer within 2 s")
+    extra = json.loads(out)["extra"]
+    assert (code, extra["b"], extra["lambda"], extra["multiplicity"]) == (2, "0", "0", 2)
+
+
 def test_cli_matrix_search_refuses_a_huge_height_promptly(capsys):
     # the height-100000 grid size comes from a totient sieve, not from
     # counting gcds up to the height squared, so the cap refuses at once

@@ -1,15 +1,17 @@
 """Evaluation and matrix arithmetic on canonical values against boxed oracles.
 
 mat_poly_eval, Matrix products, sums and scaling, UniPoly.eval,
-UniPoly.compose_shift and MultiPoly.eval run on the canonical values the
-containers store.  Over F2, F3, F4, F9, F53 and Q, with n = 1..4, they
-must equal Horner, the triple loop and power products on boxed
-FieldElements (tests/oracles.py), on dense and on sparse matrices (zero,
-the index-2 nilpotent, a block-embedded companion) and for the zero and
-constant polynomials too.  The re-check must reject a pair whose images
-differ in one off-diagonal entry; a degree-16 evaluation at a 3 x 3
-matrix must build no FieldElement, and a scalar evaluation only the one
-it returns.  The boxed reads coeffs, entries and terms must give back
+MultiPoly.eval and the root order fields._poly_root_order run on the
+canonical values the containers store.  Over F2, F3, F4, F9, F53 and Q,
+with n = 1..4, they must equal Horner, the triple loop, power products and
+the order at 0 of the Taylor shift on boxed FieldElements
+(tests/oracles.py), on dense and on sparse matrices (zero, the index-2
+nilpotent, a block-embedded companion), for the zero and constant
+polynomials, for roots of order 3 to 5 and, in characteristic 2 and 3, for
+g(x^p), whose roots have orders divisible by p.  The re-check must reject a
+pair whose images differ in one off-diagonal entry; a degree-16 evaluation
+at a 3 x 3 matrix must build no FieldElement, and a scalar evaluation only
+the one it returns.  The boxed reads coeffs, entries and terms must give back
 equal containers with equal hashes through the public constructors.
 """
 import random
@@ -37,8 +39,10 @@ from evainject import (
     jordan_nilpotent_embed,
     mat_poly_eval,
     verify_witness,
+    zero_multiplicity,
 )
 from evainject.errors import NotAWitnessError
+from evainject.fields import _poly_root_order
 
 FIELDS = [PrimeField(2), PrimeField(3), ExtensionField.from_order(4),
           ExtensionField.from_order(9), PrimeField(53), QQ]
@@ -77,6 +81,20 @@ def _polys(spec, rng):
              UniPoly.x(spec)] + [_poly(spec, rng, rng.randint(1, 6)) for _ in range(3)])
 
 
+def _repeated_root_polys(spec, rng, points):
+    """(x - b)^k * h for k = 3, 4, 5 at points b, h of degree 2, and in
+    characteristic p <= 3 some g(x^p), g of degree 1-3."""
+    out = [UniPoly(spec, [-rng.choice(points), spec.one()]) ** k * _poly(spec, rng, 2)
+           for k in (3, 4, 5)]
+    p = spec.characteristic
+    if 0 < p <= 3:
+        for _ in range(2):
+            g = _poly(spec, rng, rng.randint(1, 3)).coeffs
+            out.append(UniPoly(spec, [g[i // p] if i % p == 0 else spec.zero()
+                                      for i in range(p * len(g) - p + 1)]))
+    return out
+
+
 @pytest.mark.parametrize("spec", FIELDS, ids=IDS)
 def test_mat_poly_eval_and_products_match_boxed(spec):
     rng = random.Random(61)
@@ -110,10 +128,14 @@ def test_polynomial_evaluation_matches_boxed(spec):
     rng = random.Random(63)
     points = list(spec.elements()) if spec.is_finite else [_draw(spec, rng)
                                                             for _ in range(12)]
-    for f in _polys(spec, rng) + [_poly(spec, rng, 16)]:
+    for f in _polys(spec, rng) + [_poly(spec, rng, 16)] + _repeated_root_polys(spec, rng, points):
         for x in points:
             assert f.eval(x) == boxed_uni_eval(f, x)
-            assert f.compose_shift(x) == boxed_compose_shift(f, x)
+            if f.degree >= 1:
+                # the order of x as a root of g = f - f(x) is the order at 0 of g(t + x)
+                g = f - UniPoly.constant(spec, f.eval(x))
+                order = zero_multiplicity(boxed_compose_shift(g, x))[0]
+                assert _poly_root_order(spec, g.values, x.value) == order, (f, x)
     for _ in range(20):
         m = rng.randint(1, 3)
         g = MultiPoly(spec, m, {tuple(rng.randint(0, 4) for _ in range(m)): _draw(spec, rng)

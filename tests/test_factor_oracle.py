@@ -14,7 +14,9 @@ coefficients; its squarefree fallback and a degree-200 input are pinned.
 The rest of the Q[x] path is compared with sympy on seeded products of
 repeated rational factors up to degree 20: the Z[x] gcd and squarefree part
 with sympy's gcd and sqf_part over ZZ, Sturm counts with count_roots, and
-the monotonicity test with the odd-multiplicity parts of sqf_list.
+the monotonicity test with the odd-multiplicity parts of sqf_list; so are
+seeded sparse polynomials with coefficients from 10^20 to 10^21 and
+negative leading coefficients, whose Sturm chains drop degrees unevenly.
 The roots in F_q (factor._fq_roots) must be those a plain enumeration of
 F_q finds by boxed Horner, in the same order, over every F_p with p <= 61,
 every built-in F_{p^k} and two explicit moduli, on seeded polynomials up to
@@ -338,3 +340,32 @@ def test_monotonicity_matches_sympy():
         assert is_strictly_monotone(f) == expected, f
         verdicts.append(expected)
     assert 10 <= sum(verdicts) <= 90
+
+
+def test_sturm_on_sparse_huge_coefficients_matches_sympy():
+    # sparse f with coefficients from 10^20 to 10^21, negative leading ones
+    # included, some times a squared sparse factor: their chains drop two or
+    # more degrees at once, where only the scale |lc|^(delta+1), not
+    # lc^(delta+1), keeps every sign
+    rng = random.Random(59)
+
+    def sparse(top):
+        coeffs = [0] * (top + 1)
+        for e in [top] + rng.sample(range(top), min(top, rng.randint(1, 3))):
+            coeffs[e] = rng.choice([-1, 1]) * rng.randint(10 ** 20, 10 ** 21)
+        return UniPoly.from_ints(QQ, coeffs)
+
+    verdicts = []
+    for _ in range(150):
+        f = sparse(rng.randint(3, 9))
+        if rng.random() < 0.3:
+            f = f * sparse(rng.randint(1, 2)) ** 2
+        poly = _sympy_poly(f)
+        assert sturm_real_roots(f) == poly.count_roots(), f
+        lo, hi = sorted(Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(2))
+        assert sturm_real_roots(f, (lo, hi)) == poly.count_roots(lo, hi), (f, lo, hi)
+        expected = f.degree % 2 == 1 and all(
+            g.count_roots() == 0 for g, e in _sympy_poly(f.derivative()).sqf_list()[1] if e % 2)
+        assert is_strictly_monotone(f) == expected, f
+        verdicts.append(expected)
+    assert 10 <= sum(verdicts) <= 140

@@ -167,6 +167,16 @@ CASES = [
     ["simpleroots", "--poly", "2*x^11+x", "--field", "F9"],
     # ... and over F_(2^31 - 1), far past any scan of the field for a root of f'
     ["simpleroots", "--poly", "x^3+x", "--field", "F2147483647"],
+    # a root's multiplicity by division by x - b: orders 3 and 4, a char-p
+    # power, a rational root, and a centred even power over ACF
+    ["simpleroots", "--poly", "(x-2)^5+x^11", "--field", "F13"],
+    ["simpleroots", "--poly", "(x-1)^3", "--field", "F25"],
+    ["simpleroots", "--poly", "x^7+x^4", "--field", "F11"],
+    ["simpleroots", "--poly", "(x-1/3)^3*(x^2+1)^2", "--field", "Q"],
+    ["analyze", "--poly", "(2*x-1)^4+3", "--field", "ACF"],
+    ["analyze", "--poly", "(x-1)^4+x", "--field", "ACF", "--height", "3"],
+    # ... and of a degree-16000 f, which the Taylor shift took seconds on
+    ["simpleroots", "--poly", "x^16000+x^2", "--field", "F7"],
 ]
 
 

@@ -239,6 +239,10 @@ SIMPLE_ROOTS_PINS = [
     ("x^6-3*x^2", "F5", "0", "0", 2),
     ("2*x^11+x", "F9", "x", "2*x", 2),
     ("x^3", "F3", "0", "0", 3),
+    ("(x-2)^5+x^11", "F13", "12", "3", 3),
+    ("(x-1)^3", "F25", "1", "0", 3),
+    ("x^7+x^4", "F11", "0", "0", 4),
+    ("(x-1/3)^3*(x^2+1)^2", "Q", "1/3", "0", 3),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from evainject import QQ, UniPoly, is_strictly_monotone, sturm_real_roots
-from evainject.errors import ConstantPolynomialError, ZeroPolynomialError
+from evainject.errors import AlgebraError, ConstantPolynomialError, ZeroPolynomialError
 
 U = UniPoly.from_ints
 
@@ -18,6 +18,12 @@ def test_whole_line_examples():
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
         sturm_real_roots(UniPoly.zero(QQ))
+
+
+def test_reversed_interval_is_an_algebra_error():
+    # a domain error like every other, not a bare ValueError
+    with pytest.raises(AlgebraError, match="out of order"):
+        sturm_real_roots(U(QQ, [0, -1, 0, 1]), (1, -1))
 
 
 def test_intervals_with_root_endpoints():
